@@ -5,6 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use ppt_automaton::Transducer;
 use ppt_bench::workloads;
 use ppt_core::chunk::{process_chunk, EngineKind};
+use ppt_core::join::PrefixFolder;
 use ppt_datasets::random_treebank_queries;
 
 fn bench_mapping_engines(c: &mut Criterion) {
@@ -35,10 +36,22 @@ fn bench_unification(c: &mut Criterion) {
     let left = process_chunk(&t, &data[..mid], 0, 0, true, EngineKind::Tree, false);
     let right = process_chunk(&t, &data[mid..], mid, 1, false, EngineKind::Tree, false);
 
+    // The specification (`unify_mappings` over materialised mappings) beside
+    // the single-entry fold the pipelines run on the compact results.
+    let (left_spec, right_spec) = (left.mapping.to_mapping(), right.mapping.to_mapping());
     let mut group = c.benchmark_group("unification");
     group.sample_size(30);
     group.bench_function("join_two_mappings", |b| {
-        b.iter(|| ppt_core::join::unify_mappings(&left.mapping, &right.mapping))
+        b.iter(|| ppt_core::join::unify_mappings(&left_spec, &right_spec))
+    });
+    group.bench_function("fold_two_chunks", |b| {
+        b.iter(|| {
+            let mut folder = PrefixFolder::new(&t);
+            for out in [&left, &right] {
+                folder.fold(out.mapping.clone(), out.depth_delta, out.ladder.clone());
+            }
+            folder.depth()
+        })
     });
     group.finish();
 }

@@ -3,9 +3,9 @@
 //! A chunk is an arbitrary byte range of the input (produced by
 //! [`ppt_xmlstream::split_chunks`]); it need not be well-formed. The chunk is
 //! lexed into tag events and driven through either the naive mapping engine or
-//! the double-tree engine, producing a [`Mapping`] from every possible
+//! the double-tree engine, producing a [`ChunkMapping`] from every possible
 //! starting state to its finishing state plus the sub-query matches emitted
-//! along each path.
+//! along each path (stored once, on a tape the paths share).
 //!
 //! Besides the mapping, the chunk records what the join phase needs to stitch
 //! results back together:
@@ -18,11 +18,11 @@
 //!   returns to; this is what resolves element spans that cross chunk
 //!   boundaries.
 
-use crate::mapping::Mapping;
+use crate::mapping::{ChunkMapping, Mapping};
 use crate::tree::DoubleTree;
 use ppt_automaton::{run_sequential_with_stats, Transducer};
-use ppt_xmlstream::{Lexer, XmlEvent};
-use std::collections::HashMap;
+use ppt_xmlstream::{Lexer, LexerConfig, Symbol, XmlEvent};
+use std::cell::RefCell;
 use std::time::{Duration, Instant};
 
 /// Which per-chunk engine to use.
@@ -49,6 +49,9 @@ pub struct ChunkStats {
     pub busy: Duration,
     /// Approximate heap footprint of the per-chunk engine state.
     pub working_set_bytes: usize,
+    /// Match records the chunk stored, over all execution paths (the real
+    /// path's share is what the join emits).
+    pub match_records: usize,
 }
 
 /// The result of processing one chunk.
@@ -58,7 +61,7 @@ pub struct ChunkOutput {
     pub index: usize,
     /// The state mapping (matches carry absolute byte offsets and
     /// chunk-relative depths).
-    pub mapping: Mapping,
+    pub mapping: ChunkMapping,
     /// Depth at the end of the chunk relative to its start.
     pub depth_delta: i64,
     /// `(position after the closing tag, relative depth after the close)` for
@@ -72,79 +75,134 @@ pub struct ChunkOutput {
     pub stats: ChunkStats,
 }
 
-enum ChunkEngine {
-    Tree(DoubleTree),
-    Naive(Mapping, u64),
+/// What [`drive`] needs of a per-chunk engine. `open` returns a mark that
+/// `close_span` later uses to find the matches that opening tag produced.
+trait StepEngine {
+    type Mark: Copy;
+    fn open(&mut self, t: &Transducer, sym: Symbol, pos: usize, depth: i64) -> Self::Mark;
+    fn close(&mut self, t: &Transducer, sym: Symbol);
+    fn probe(&mut self, t: &Transducer, sym: Symbol, pos: usize, depth: i64);
+    fn close_span(&mut self, mark: Self::Mark, end: usize);
 }
 
-impl ChunkEngine {
-    fn new(t: &Transducer, kind: EngineKind, is_first: bool) -> ChunkEngine {
-        match kind {
-            EngineKind::Tree => ChunkEngine::Tree(if is_first {
-                DoubleTree::initial(t)
-            } else {
-                DoubleTree::identity(t)
-            }),
-            EngineKind::Naive => ChunkEngine::Naive(
-                if is_first { Mapping::initial(t) } else { Mapping::identity(t) },
-                0,
-            ),
-        }
+impl StepEngine for DoubleTree {
+    /// The log records the opening tag produced (each exists once).
+    type Mark = (usize, usize);
+
+    fn open(&mut self, t: &Transducer, sym: Symbol, pos: usize, depth: i64) -> (usize, usize) {
+        let lo = self.match_records();
+        self.step_open(t, sym, pos, depth);
+        (lo, self.match_records())
     }
 
-    fn step_open(&mut self, t: &Transducer, sym: ppt_xmlstream::Symbol, pos: usize, depth: i64) {
-        match self {
-            ChunkEngine::Tree(tree) => tree.step_open(t, sym, pos, depth),
-            ChunkEngine::Naive(m, n) => *n += m.step_open(t, sym, pos, depth),
-        }
+    fn close(&mut self, t: &Transducer, sym: Symbol) {
+        self.step_close(t, sym);
     }
 
-    fn step_close(&mut self, t: &Transducer, sym: ppt_xmlstream::Symbol) {
-        match self {
-            ChunkEngine::Tree(tree) => tree.step_close(t, sym),
-            ChunkEngine::Naive(m, n) => *n += m.step_close(t, sym),
-        }
+    fn probe(&mut self, t: &Transducer, sym: Symbol, pos: usize, depth: i64) {
+        self.step_probe(t, sym, pos, depth);
     }
 
-    fn step_probe(&mut self, t: &Transducer, sym: ppt_xmlstream::Symbol, pos: usize, depth: i64) {
-        match self {
-            ChunkEngine::Tree(tree) => tree.step_probe(t, sym, pos, depth),
-            ChunkEngine::Naive(m, n) => *n += m.step_probe(t, sym, pos, depth),
-        }
+    fn close_span(&mut self, records: (usize, usize), end: usize) {
+        DoubleTree::close_span(self, records, end);
+    }
+}
+
+/// The naive engine and its transition count.
+struct Naive(Mapping, u64);
+
+impl StepEngine for Naive {
+    /// Position of the opening tag.
+    type Mark = usize;
+
+    fn open(&mut self, t: &Transducer, sym: Symbol, pos: usize, depth: i64) -> usize {
+        self.1 += self.0.step_open(t, sym, pos, depth);
+        pos
     }
 
-    fn transitions(&self) -> u64 {
-        match self {
-            ChunkEngine::Tree(tree) => tree.transitions,
-            ChunkEngine::Naive(_, n) => *n,
-        }
+    fn close(&mut self, t: &Transducer, sym: Symbol) {
+        self.1 += self.0.step_close(t, sym);
     }
 
-    fn peak_states(&self) -> usize {
-        match self {
-            ChunkEngine::Tree(tree) => tree.peak_level1,
-            ChunkEngine::Naive(m, _) => m.distinct_finish_states().max(m.len()),
-        }
+    fn probe(&mut self, t: &Transducer, sym: Symbol, pos: usize, depth: i64) {
+        self.1 += self.0.step_probe(t, sym, pos, depth);
     }
 
-    fn working_set(&self) -> usize {
-        match self {
-            ChunkEngine::Tree(tree) => tree.heap_bytes(),
-            ChunkEngine::Naive(m, _) => m.len() * std::mem::size_of::<crate::mapping::MapEntry>(),
-        }
-    }
-
-    fn into_mapping(self) -> Mapping {
-        match self {
-            ChunkEngine::Tree(tree) => tree.extract(),
-            ChunkEngine::Naive(m, _) => m,
+    fn close_span(&mut self, open_pos: usize, end: usize) {
+        // Outputs are in document order: what follows the opening tag's own
+        // matches lies inside the element.
+        for e in &mut self.0.entries {
+            let inside_last = e.outputs.iter_mut().rev().skip_while(|m| m.pos > open_pos);
+            inside_last.take_while(|m| m.pos == open_pos).for_each(|m| m.end = end);
         }
     }
 }
 
-/// Position just past the `>` of the tag that starts at `pos` in `slice`.
-fn tag_end(slice: &[u8], pos: usize) -> usize {
-    slice[pos..].iter().position(|&b| b == b'>').map(|off| pos + off + 1).unwrap_or(slice.len())
+/// What one pass over a chunk's events leaves behind besides the engine.
+struct Driven {
+    depth_delta: i64,
+    tag_events: u64,
+    ladder: Vec<(usize, i64)>,
+}
+
+/// Lexes `slice` and drives `engine` through its events, resolving the spans
+/// of elements that open and close inside the chunk when `need_spans`.
+fn drive<E: StepEngine>(
+    engine: &mut E,
+    t: &Transducer,
+    slice: &[u8],
+    abs_offset: usize,
+    need_spans: bool,
+) -> Driven {
+    let mut out = Driven { depth_delta: 0, tag_events: 0, ladder: Vec::new() };
+    let mut open_stack: Vec<E::Mark> = Vec::new();
+    let mut lexer = Lexer::with_config(slice, LexerConfig { tags_only: !t.needs_full_events() });
+    while let Some(ev) = lexer.next() {
+        match ev {
+            XmlEvent::Open { name, pos } => {
+                out.depth_delta += 1;
+                out.tag_events += 1;
+                let mark = engine.open(t, t.classify_name(name), abs_offset + pos, out.depth_delta);
+                if need_spans {
+                    open_stack.push(mark);
+                }
+            }
+            XmlEvent::Close { name, .. } => {
+                out.tag_events += 1;
+                engine.close(t, t.classify_name(name));
+                out.depth_delta -= 1;
+                if need_spans {
+                    // The lexer stands just past the tag it reported.
+                    let end = abs_offset + lexer.position();
+                    match open_stack.pop() {
+                        Some(mark) => engine.close_span(mark, end),
+                        None => out.ladder.push((end, out.depth_delta)),
+                    }
+                }
+            }
+            XmlEvent::Attr { name, pos, .. } => {
+                if let Some(sym) = t.classify_attr(name) {
+                    engine.probe(t, sym, abs_offset + pos, out.depth_delta + 1);
+                }
+            }
+            XmlEvent::Text { text, pos } => {
+                let trimmed = ppt_automaton::exec::trim_ws(text);
+                if trimmed.is_empty() {
+                    continue;
+                }
+                if let Some(sym) = t.classify_text(trimmed) {
+                    engine.probe(t, sym, abs_offset + pos, out.depth_delta + 1);
+                }
+            }
+        }
+    }
+    out
+}
+
+thread_local! {
+    /// The calling worker's double tree: scratch reused for every chunk the
+    /// thread processes, grown on demand (the result is compacted out of it).
+    static TREE: RefCell<DoubleTree> = RefCell::default();
 }
 
 /// Processes one chunk out of order.
@@ -167,116 +225,43 @@ pub fn process_chunk(
     need_spans: bool,
 ) -> ChunkOutput {
     let started = Instant::now();
-    let mut engine = ChunkEngine::new(t, kind, is_first);
-    let mut rel_depth: i64 = 0;
-    let mut tag_events: u64 = 0;
-    let mut ladder: Vec<(usize, i64)> = Vec::new();
-    let mut open_stack: Vec<usize> = Vec::new();
-    let mut spans: HashMap<usize, usize> = HashMap::new();
-
-    let full_events = t.needs_full_events();
-    let handle = |ev: XmlEvent<'_>,
-                  engine: &mut ChunkEngine,
-                  rel_depth: &mut i64,
-                  tag_events: &mut u64,
-                  ladder: &mut Vec<(usize, i64)>,
-                  open_stack: &mut Vec<usize>,
-                  spans: &mut HashMap<usize, usize>| {
-        match ev {
-            XmlEvent::Open { name, pos } => {
-                *rel_depth += 1;
-                *tag_events += 1;
-                let abs = abs_offset + pos;
-                engine.step_open(t, t.classify_name(name), abs, *rel_depth);
-                if need_spans {
-                    open_stack.push(abs);
-                }
-            }
-            XmlEvent::Close { name, pos } => {
-                *tag_events += 1;
-                engine.step_close(t, t.classify_name(name));
-                if need_spans {
-                    let end = abs_offset + tag_end(slice, pos);
-                    match open_stack.pop() {
-                        Some(open_pos) => {
-                            spans.insert(open_pos, end);
-                        }
-                        None => ladder.push((end, *rel_depth - 1)),
-                    }
-                }
-                *rel_depth -= 1;
-            }
-            XmlEvent::Attr { name, pos, .. } => {
-                if let Some(sym) = t.classify_attr(name) {
-                    engine.step_probe(t, sym, abs_offset + pos, *rel_depth + 1);
-                }
-            }
-            XmlEvent::Text { text, pos } => {
-                let trimmed = ppt_automaton::exec::trim_ws(text);
-                if trimmed.is_empty() {
-                    return;
-                }
-                if let Some(sym) = t.classify_text(trimmed) {
-                    engine.step_probe(t, sym, abs_offset + pos, *rel_depth + 1);
-                }
-            }
+    let (driven, mapping, mut stats) = match kind {
+        EngineKind::Tree => TREE.with(|tree| {
+            let tree = &mut *tree.borrow_mut();
+            tree.reset(t, is_first);
+            let driven = drive(tree, t, slice, abs_offset, need_spans);
+            let stats = ChunkStats {
+                transitions: tree.transitions,
+                peak_finish_states: tree.peak_level1,
+                working_set_bytes: tree.heap_bytes(),
+                ..ChunkStats::default()
+            };
+            (driven, tree.extract(), stats)
+        }),
+        EngineKind::Naive => {
+            let start = if is_first { Mapping::initial(t) } else { Mapping::identity(t) };
+            let mut naive = Naive(start, 0);
+            let driven = drive(&mut naive, t, slice, abs_offset, need_spans);
+            let Naive(m, transitions) = naive;
+            let stats = ChunkStats {
+                transitions,
+                peak_finish_states: m.distinct_finish_states().max(m.len()),
+                working_set_bytes: m.len() * std::mem::size_of::<crate::mapping::MapEntry>(),
+                ..ChunkStats::default()
+            };
+            (driven, ChunkMapping::from_mapping(&m), stats)
         }
     };
-
-    if full_events {
-        for ev in Lexer::new(slice) {
-            handle(
-                ev,
-                &mut engine,
-                &mut rel_depth,
-                &mut tag_events,
-                &mut ladder,
-                &mut open_stack,
-                &mut spans,
-            );
-        }
-    } else {
-        for ev in Lexer::tags_only(slice) {
-            handle(
-                ev,
-                &mut engine,
-                &mut rel_depth,
-                &mut tag_events,
-                &mut ladder,
-                &mut open_stack,
-                &mut spans,
-            );
-        }
-    }
-
-    let transitions = engine.transitions();
-    let peak_finish_states = engine.peak_states();
-    let working_set_bytes = engine.working_set();
-    let mut mapping = engine.into_mapping();
-
-    if need_spans && !spans.is_empty() {
-        for entry in &mut mapping.entries {
-            for m in &mut entry.outputs {
-                if let Some(&end) = spans.get(&m.pos) {
-                    m.end = end;
-                }
-            }
-        }
-    }
-
+    stats.tag_events = driven.tag_events;
+    stats.match_records = mapping.match_records();
+    stats.busy = started.elapsed();
     ChunkOutput {
         index,
         mapping,
-        depth_delta: rel_depth,
-        ladder,
+        depth_delta: driven.depth_delta,
+        ladder: driven.ladder,
         end_offset: abs_offset + slice.len(),
-        stats: ChunkStats {
-            transitions,
-            tag_events,
-            peak_finish_states,
-            busy: started.elapsed(),
-            working_set_bytes,
-        },
+        stats,
     }
 }
 
@@ -298,7 +283,8 @@ mod tests {
         let t = Transducer::from_queries(&["/a/b/c", "//d"]).unwrap();
         let out = process_chunk(&t, DOC, 0, 0, true, EngineKind::Tree, true);
         assert_eq!(out.mapping.len(), 1);
-        let e = &out.mapping.entries[0];
+        let mapping = out.mapping.to_mapping();
+        let e = &mapping.entries[0];
         let seq = ppt_automaton::run_sequential(&t, DOC);
         assert_eq!(e.outputs.len(), seq.len());
         let mut expected: Vec<(usize, u32)> = seq.iter().map(|m| (m.pos, m.subquery)).collect();
@@ -322,7 +308,7 @@ mod tests {
         assert_eq!(second.depth_delta, -1);
         assert_eq!(first.end_offset, split);
         assert_eq!(second.end_offset, DOC.len());
-        let joined = unify_mappings(&first.mapping, &second.mapping);
+        let joined = unify_mappings(&first.mapping.to_mapping(), &second.mapping.to_mapping());
         assert_eq!(joined.len(), 1);
         assert_eq!(joined.entries[0].outputs.len(), 1);
         // The match's absolute position points at the <c> tag.
@@ -334,7 +320,8 @@ mod tests {
     fn spans_resolve_within_a_chunk() {
         let t = Transducer::from_queries(&["/a/b"]).unwrap();
         let out = process_chunk(&t, DOC, 0, 0, true, EngineKind::Tree, true);
-        let e = &out.mapping.entries[0];
+        let mapping = out.mapping.to_mapping();
+        let e = &mapping.entries[0];
         assert_eq!(e.outputs.len(), 2);
         for m in &e.outputs {
             assert_ne!(m.end, usize::MAX);
@@ -364,8 +351,8 @@ mod tests {
             for (slice, first, off) in [(left, true, 0usize), (right, split == 0, split)] {
                 let a = process_chunk(&t, slice, off, 0, first, EngineKind::Tree, true);
                 let b = process_chunk(&t, slice, off, 0, first, EngineKind::Naive, true);
-                let mut ma = a.mapping.clone();
-                let mut mb = b.mapping.clone();
+                let mut ma = a.mapping.to_mapping();
+                let mut mb = b.mapping.to_mapping();
                 ma.normalise();
                 mb.normalise();
                 assert_eq!(ma, mb, "split at {split}");

@@ -8,7 +8,7 @@
 //! through to the unified entry (rules 1–3). Outputs concatenate in document
 //! order. Pairs that cannot be unified are discarded (rule 5).
 
-use crate::mapping::{ChunkMatch, MapEntry, Mapping};
+use crate::mapping::{ChunkMapping, ChunkMatch, MapEntry, Mapping};
 use ppt_automaton::{StateId, Transducer};
 
 /// Attempts to unify two entries, `first` describing the earlier part of the
@@ -105,22 +105,29 @@ impl FoldDelta {
 
 /// Eager left-fold of per-chunk mappings (§4.1's `J`, applied incrementally).
 ///
-/// The batch pipeline accumulates every chunk's outputs and selects the
-/// execution path that started in the initial state only at the very end. For
-/// an *unbounded* stream that is not an option: the accumulated output tape
+/// The batch formulation unifies whole mappings and selects the execution
+/// path that started in the initial state only at the very end. For an
+/// *unbounded* stream that is not an option: the accumulated output tape
 /// would grow with the stream. `PrefixFolder` exploits that the entry keyed
 /// `(initial state, empty stack)` is unique in the accumulated mapping (the
 /// transducer is deterministic, and which stack depth a chunk pops below is a
 /// function of the tag structure alone) and that unification only ever
-/// *appends* to its output tape — so after every fold the outputs accumulated
-/// so far are final. [`PrefixFolder::fold`] therefore drains them out of the
-/// mapping and hands them to the caller, keeping the accumulated state `O(1)`
-/// in the stream length. This is what lets the online runtime emit matches
-/// while the stream is still flowing.
+/// *appends* to its output tape — so it keeps exactly that one entry, the
+/// resolved state and stack of the folded prefix, and each
+/// [`PrefixFolder::fold`] looks up the single chunk entry that unifies with
+/// it, pops and pushes the stack in place and drains only that entry's tape.
+/// The state is `O(depth)` and a fold `O(entries with that start state)`;
+/// [`unify_mappings`] remains the specification this is tested against.
+///
+/// **Underflow.** A chunk that pops deeper than the prefix stack (stray
+/// closing tags) or has no entry for the prefix leaves no `(q₀, ε)` path: the
+/// path is lost and no later fold emits a match, exactly as the unified
+/// mapping would then hold no such entry. Depth and ladder keep flowing.
 #[derive(Debug)]
 pub struct PrefixFolder {
-    initial: StateId,
-    accumulated: Option<Mapping>,
+    /// Finishing state and stack (top at the end) of the `(q₀, ε)` entry
+    /// after the folded prefix; `None` once the path is lost.
+    resolved: Option<(StateId, Vec<StateId>)>,
     /// Absolute element depth at the end of the folded prefix.
     depth: i64,
     chunks: usize,
@@ -129,7 +136,7 @@ pub struct PrefixFolder {
 impl PrefixFolder {
     /// Creates a folder for streams processed by `transducer`.
     pub fn new(transducer: &Transducer) -> PrefixFolder {
-        PrefixFolder { initial: transducer.initial(), accumulated: None, depth: 0, chunks: 0 }
+        PrefixFolder::resume(transducer, std::iter::empty(), 0)
     }
 
     /// Creates a folder whose state is what [`PrefixFolder::new`] +folding the
@@ -141,33 +148,23 @@ impl PrefixFolder {
     /// pushed state, the `(initial, ε)` entry after any prefix is a pure
     /// function of the still-open tag path — so a *new* (merged) transducer
     /// can take over an in-flight stream by replaying that path alone. Matches
-    /// completed by the prefix are deliberately not reconstructed: outputs
-    /// start empty, which gives attach-time semantics (a subscriber sees
-    /// matches whose element opens at or after the swap point).
+    /// completed by the prefix are deliberately not reconstructed, which gives
+    /// attach-time semantics (a subscriber sees matches whose element opens at
+    /// or after the swap point).
     ///
     /// `chunks` seeds the folded-chunk counter (purely informational).
     pub fn resume<'a, I>(transducer: &Transducer, open_path: I, chunks: usize) -> PrefixFolder
     where
         I: IntoIterator<Item = &'a [u8]>,
     {
-        let initial = transducer.initial();
-        let mut state = initial;
+        let mut state = transducer.initial();
         let mut stack: Vec<StateId> = Vec::new();
         for name in open_path {
             stack.push(state);
             state = transducer.step(state, transducer.classify_name(name));
         }
         let depth = stack.len() as i64;
-        let accumulated = Mapping {
-            entries: vec![MapEntry {
-                start_state: initial,
-                start_stack: Vec::new(),
-                finish_state: state,
-                finish_stack: stack,
-                outputs: Vec::new(),
-            }],
-        };
-        PrefixFolder { initial, accumulated: Some(accumulated), depth, chunks }
+        PrefixFolder { resolved: Some((state, stack)), depth, chunks }
     }
 
     /// Absolute element depth at the end of the folded prefix.
@@ -180,13 +177,14 @@ impl PrefixFolder {
         self.chunks
     }
 
-    /// Number of live entries in the accumulated mapping.
-    pub fn entry_count(&self) -> usize {
-        self.accumulated.as_ref().map(|m| m.entries.len()).unwrap_or(0)
+    /// Finishing state and stack (top last) of the real execution path after
+    /// the folded prefix; `None` once it is lost (see the type's docs).
+    pub fn resolved(&self) -> Option<(StateId, &[StateId])> {
+        self.resolved.as_ref().map(|(state, stack)| (*state, stack.as_slice()))
     }
 
-    /// Folds the next **in-order** chunk's output into the accumulated
-    /// mapping. `mapping`, `depth_delta` and `ladder` are the fields of a
+    /// Folds the next **in-order** chunk's output into the resolved entry.
+    /// `mapping`, `depth_delta` and `ladder` are the fields of a
     /// [`crate::chunk::ChunkOutput`] (matches carry chunk-relative depths; the
     /// very first chunk must have been processed with `is_first = true`).
     ///
@@ -194,47 +192,32 @@ impl PrefixFolder {
     /// depths, and the rebased ladder events.
     pub fn fold(
         &mut self,
-        mut mapping: Mapping,
+        mapping: ChunkMapping,
         depth_delta: i64,
-        ladder: Vec<(usize, i64)>,
+        mut ladder: Vec<(usize, i64)>,
     ) -> FoldDelta {
-        // Rebase chunk-relative depths to absolute stream depths.
-        for entry in &mut mapping.entries {
-            for m in &mut entry.outputs {
-                m.rel_depth += self.depth;
+        let mut matches = Vec::new();
+        if let Some((state, mut stack)) = self.resolved.take() {
+            // The entry that unifies with the prefix: same start state, and
+            // its start stack (first popped first) is the top of ours.
+            let entry = stack.len().checked_sub(mapping.start_len).and_then(|kept| {
+                let popped = stack[kept..].iter().rev();
+                let mut candidates = mapping.entries_from(state).iter();
+                candidates.find(|e| mapping.stacks_of(e).0.iter().eq(popped.clone()))
+            });
+            if let Some(e) = entry {
+                stack.truncate(stack.len() - mapping.start_len);
+                stack.extend_from_slice(mapping.stacks_of(e).1);
+                mapping.collect_outputs(e, &mut matches);
+                self.resolved = Some((e.finish_state, stack));
             }
         }
-        let ladder: Vec<(usize, i64)> =
-            ladder.into_iter().map(|(pos, rel_after)| (pos, rel_after + self.depth)).collect();
+        // Rebase chunk-relative depths to absolute stream depths.
+        matches.iter_mut().for_each(|m| m.rel_depth += self.depth);
+        ladder.iter_mut().for_each(|(_, rel_after)| *rel_after += self.depth);
         self.depth += depth_delta;
         self.chunks += 1;
-
-        self.accumulated = Some(match self.accumulated.take() {
-            None => mapping,
-            Some(acc) => unify_mappings(&acc, &mapping),
-        });
-
-        FoldDelta { matches: self.drain_prefix_outputs(), ladder }
-    }
-
-    /// Drains the output tape of the `(initial, ε)` entry — the matches of the
-    /// real execution path, final as of the folded prefix.
-    fn drain_prefix_outputs(&mut self) -> Vec<ChunkMatch> {
-        let Some(acc) = self.accumulated.as_mut() else {
-            return Vec::new();
-        };
-        for entry in &mut acc.entries {
-            if entry.start_state == self.initial && entry.start_stack.is_empty() {
-                return std::mem::take(&mut entry.outputs);
-            }
-        }
-        Vec::new()
-    }
-
-    /// Consumes the folder, returning the accumulated mapping (with the
-    /// already-drained outputs removed). `None` when nothing was folded.
-    pub fn into_mapping(self) -> Option<Mapping> {
-        self.accumulated
+        FoldDelta { matches, ladder }
     }
 }
 
@@ -397,14 +380,8 @@ mod tests {
             .collect();
         assert_eq!(drained, expected, "incremental drains equal the in-order run");
         assert_eq!(folder.depth(), 0, "well-formed document returns to depth 0");
-        // The accumulated entry's tape was drained at every step.
-        let acc = folder.into_mapping().unwrap();
-        let initial_entry = acc
-            .entries
-            .iter()
-            .find(|e| e.start_state == t.initial() && e.start_stack.is_empty())
-            .unwrap();
-        assert!(initial_entry.outputs.is_empty());
+        // What is left is the resolved entry: back in the initial state.
+        assert_eq!(folder.resolved(), Some((t.initial(), &[][..])));
     }
 
     #[test]
@@ -451,6 +428,29 @@ mod tests {
         assert!(!expected.is_empty());
         assert_eq!(drained, expected);
         assert_eq!(resumed.depth(), 0, "suffix closes the document");
+    }
+
+    #[test]
+    fn a_chunk_popping_below_the_prefix_stack_loses_the_path_for_good() {
+        use crate::chunk::{process_chunk, EngineKind};
+        let t = Transducer::from_queries(&["//a"]).unwrap();
+        // A stray `</a>` opens the second chunk: it pops deeper than the
+        // prefix pushed.
+        let doc: &[u8] = b"<a></a></a><a></a><a></a>";
+        let mut folder = PrefixFolder::new(&t);
+        let mut drained = Vec::new();
+        for (index, range) in [0..7, 7..18, 18..25].into_iter().enumerate() {
+            let (slice, first) = (&doc[range.clone()], index == 0);
+            let out = process_chunk(&t, slice, range.start, index, first, EngineKind::Tree, true);
+            let delta = folder.fold(out.mapping, out.depth_delta, out.ladder);
+            drained.push((delta.matches.len(), delta.ladder, folder.resolved().is_some()));
+        }
+        // As with `unify_mappings`, whose result then has no `(q₀, ε)` entry:
+        // nothing is emitted from the underflow on, though the later chunks
+        // are well-formed; depth and ladder keep flowing.
+        assert_eq!(drained, [(1, vec![], true), (0, vec![(11, -1)], false), (0, vec![], false)]);
+        assert_eq!(folder.depth(), -1);
+        assert_eq!(folder.chunks(), 3);
     }
 
     #[test]

@@ -13,11 +13,13 @@
 //! Module map (paper section in parentheses):
 //!
 //! * [`mapping`] — map entries and the naive set-of-entries engine with the
-//!   transition functions `fplain`/`fpush`/`fpop`/`funknown` (§4.1, Alg 1).
+//!   transition functions `fplain`/`fpush`/`fpop`/`funknown` (§4.1, Alg 1),
+//!   and the compact per-chunk result with its shared output tape.
 //! * [`join`] — the unification function `j`/`J` merging two mappings
-//!   (§4.1, Alg 2).
+//!   (§4.1, Alg 2) and the single-entry fold the pipelines run.
 //! * [`tree`] — the double-tree data structure that processes all entries
-//!   sharing a finishing state at once (§4.2, Algs 3–6, Figs 5/6).
+//!   sharing a finishing state at once (§4.2, Algs 3–6, Figs 5/6), on a flat
+//!   arena with every match stored once.
 //! * [`chunk`] — out-of-order processing of a single chunk (either engine).
 //! * [`parallel`] — the split → parallel → join pipeline on a rayon pool
 //!   (§3.2 phases i–iii).
@@ -44,6 +46,6 @@ pub mod tree;
 
 pub use chunk::{process_chunk, ChunkOutput, EngineKind};
 pub use engine::{Engine, EngineBuilder, EngineConfig, QueryMatch, QueryResult};
-pub use mapping::{ChunkMatch, MapEntry, Mapping};
+pub use mapping::{ChunkMapping, ChunkMatch, MapEntry, Mapping};
 pub use parallel::{run_parallel, ParallelConfig, ResolvedMatch, StreamProcessor};
 pub use stats::RunStats;

@@ -201,6 +201,217 @@ impl Mapping {
     }
 }
 
+/// "No node" in the flat `u32`-indexed structures.
+pub(crate) const NIL: u32 = u32::MAX;
+
+/// One immutable node of the shared output tape: the records of `prev`, then
+/// those of `sub`, then `log[lo..hi]`. Nodes are only ever created with
+/// non-empty content, so walking one entry's tape costs O(its records).
+#[derive(Debug, Clone, Copy)]
+struct TapeNode {
+    prev: u32,
+    sub: u32,
+    lo: u32,
+    hi: u32,
+}
+
+/// A tape, held by value: the records of node `nodes` (if any) followed by
+/// `log[lo..hi]`. Copying a `Tape` shares it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Tape {
+    nodes: u32,
+    lo: u32,
+    hi: u32,
+}
+
+impl Tape {
+    pub(crate) const EMPTY: Tape = Tape { nodes: NIL, lo: 0, hi: 0 };
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.nodes == NIL && self.lo == self.hi
+    }
+}
+
+/// The shared output tape of one chunk: every match is written **once** to
+/// `log` (document order); execution paths hold [`Tape`]s, and provenance
+/// moves by copying those, never by copying matches.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct OutputTape {
+    pub(crate) log: Vec<ChunkMatch>,
+    nodes: Vec<TapeNode>,
+}
+
+impl OutputTape {
+    /// Appends `records` to the log; the tape holding just them.
+    pub(crate) fn record(&mut self, records: impl Iterator<Item = ChunkMatch>) -> Tape {
+        let lo = self.log.len() as u32;
+        self.log.extend(records);
+        Tape { nodes: NIL, lo, hi: self.log.len() as u32 }
+    }
+
+    /// The tape `a` followed by the tape `b`; O(1), both stay shared. While
+    /// one path's records are adjacent in the log its tape stays one range.
+    pub(crate) fn then(&mut self, a: Tape, b: Tape) -> Tape {
+        if a.is_empty() || b.is_empty() {
+            return if b.is_empty() { a } else { b };
+        }
+        let a_bare = a.lo == a.hi;
+        if b.nodes == NIL && (a_bare || a.hi == b.lo) {
+            return Tape { nodes: a.nodes, lo: if a_bare { b.lo } else { a.lo }, hi: b.hi };
+        }
+        // Freeze `a`'s range into a node, then put `b`'s nodes after it.
+        let mut nodes = a.nodes;
+        if !a_bare {
+            nodes = self.push(TapeNode { prev: nodes, sub: NIL, lo: a.lo, hi: a.hi });
+        }
+        if b.nodes != NIL {
+            nodes = self.push(TapeNode { prev: nodes, sub: b.nodes, lo: 0, hi: 0 });
+        }
+        Tape { nodes, ..b }
+    }
+
+    fn push(&mut self, node: TapeNode) -> u32 {
+        self.nodes.push(node);
+        self.nodes.len() as u32 - 1
+    }
+
+    /// Appends the records of `tape` to `out`, in time order.
+    pub(crate) fn collect(&self, tape: Tape, out: &mut Vec<ChunkMatch>) {
+        // Visit latest-first (own range, `sub`, `prev`), then replay reversed.
+        let (mut todo, mut ranges) = (vec![tape.nodes], vec![(tape.lo, tape.hi)]);
+        while let Some(mut h) = todo.pop() {
+            while h != NIL {
+                let n = self.nodes[h as usize];
+                ranges.push((n.lo, n.hi));
+                h = n.prev;
+                if n.sub != NIL {
+                    todo.push(n.prev);
+                    h = n.sub;
+                }
+            }
+        }
+        out.reserve(ranges.iter().map(|&(lo, hi)| (hi - lo) as usize).sum());
+        for (lo, hi) in ranges.into_iter().rev() {
+            out.extend_from_slice(&self.log[lo as usize..hi as usize]);
+        }
+    }
+
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.log.len() * std::mem::size_of::<ChunkMatch>()
+            + self.nodes.len() * std::mem::size_of::<TapeNode>()
+    }
+}
+
+/// One entry of a [`ChunkMapping`]: states, an offset into the pooled stacks
+/// and a shared tape instead of an owned output vector.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CompactEntry {
+    pub(crate) start_state: StateId,
+    pub(crate) finish_state: StateId,
+    /// Offset of this entry's `start_len + finish_len` stack symbols.
+    pub(crate) stacks: u32,
+    pub(crate) tape: Tape,
+}
+
+/// The compact result of one chunk: the same set of entries as a [`Mapping`],
+/// but every match stored once on a shared tape. All entries of a chunk
+/// consumed the same events, so their stack lengths are stored once; entries
+/// are sorted by start state, which is the join's index.
+#[derive(Debug, Clone, Default)]
+pub struct ChunkMapping {
+    entries: Vec<CompactEntry>,
+    stacks: Vec<StateId>,
+    /// Symbols every entry pops from the pre-chunk stack, and leaves pushed.
+    pub(crate) start_len: usize,
+    finish_len: usize,
+    tape: OutputTape,
+}
+
+impl ChunkMapping {
+    pub(crate) fn new(
+        mut entries: Vec<CompactEntry>,
+        stacks: Vec<StateId>,
+        start_len: usize,
+        finish_len: usize,
+        tape: OutputTape,
+    ) -> ChunkMapping {
+        entries.sort_unstable_by_key(|e| e.start_state);
+        ChunkMapping { entries, stacks, start_len, finish_len, tape }
+    }
+
+    /// Compacts a [`Mapping`] (the naive engine's result).
+    pub fn from_mapping(m: &Mapping) -> ChunkMapping {
+        let (mut tape, mut stacks) = (OutputTape::default(), Vec::new());
+        let entries = m.entries.iter().map(|e| {
+            let at = stacks.len() as u32;
+            stacks.extend_from_slice(&e.start_stack);
+            stacks.extend_from_slice(&e.finish_stack);
+            CompactEntry {
+                start_state: e.start_state,
+                finish_state: e.finish_state,
+                stacks: at,
+                tape: tape.record(e.outputs.iter().copied()),
+            }
+        });
+        let entries = entries.collect();
+        let first = m.entries.first();
+        let lens = first.map_or((0, 0), |e| (e.start_stack.len(), e.finish_stack.len()));
+        ChunkMapping::new(entries, stacks, lens.0, lens.1, tape)
+    }
+
+    /// Materialises the [`Mapping`] this result stands for (tests, examples
+    /// and benches; the join never does this).
+    pub fn to_mapping(&self) -> Mapping {
+        let entries = self.entries.iter().map(|e| {
+            let (start_stack, finish_stack) = self.stacks_of(e);
+            let mut outputs = Vec::new();
+            self.tape.collect(e.tape, &mut outputs);
+            MapEntry {
+                start_state: e.start_state,
+                start_stack: start_stack.to_vec(),
+                finish_state: e.finish_state,
+                finish_stack: finish_stack.to_vec(),
+                outputs,
+            }
+        });
+        Mapping { entries: entries.collect() }
+    }
+
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// `true` when no execution path survived the chunk.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Length of the match log: every record the chunk stored, for every
+    /// execution path (compare with the matches the real path emits).
+    pub fn match_records(&self) -> usize {
+        self.tape.log.len()
+    }
+
+    /// The entries starting in state `q`.
+    pub(crate) fn entries_from(&self, q: StateId) -> &[CompactEntry] {
+        let lo = self.entries.partition_point(|e| e.start_state < q);
+        let hi = self.entries.partition_point(|e| e.start_state <= q);
+        &self.entries[lo..hi]
+    }
+
+    /// `(start stack, finish stack)` of `e`, in [`MapEntry`]'s conventions.
+    pub(crate) fn stacks_of(&self, e: &CompactEntry) -> (&[StateId], &[StateId]) {
+        self.stacks[e.stacks as usize..][..self.start_len + self.finish_len]
+            .split_at(self.start_len)
+    }
+
+    /// Appends the output tape of `e` to `out`, in document order.
+    pub(crate) fn collect_outputs(&self, e: &CompactEntry, out: &mut Vec<ChunkMatch>) {
+        self.tape.collect(e.tape, out);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -388,5 +599,63 @@ mod tests {
         // inconsistent: t.step(initial, b) != state-after-a.
         m.step_close(&t, sym(&t, "b"));
         assert!(m.is_empty());
+    }
+
+    fn record(pos: usize) -> ChunkMatch {
+        ChunkMatch { pos, end: usize::MAX, rel_depth: 1, subquery: 0 }
+    }
+
+    fn positions(tape: &OutputTape, t: Tape) -> Vec<usize> {
+        let mut out = Vec::new();
+        tape.collect(t, &mut out);
+        out.iter().map(|m| m.pos).collect()
+    }
+
+    #[test]
+    fn tapes_share_records_and_stay_one_range_while_adjacent() {
+        let mut tape = OutputTape::default();
+        let a = tape.record([record(1), record(2)].into_iter());
+        let b = tape.record([record(3)].into_iter());
+        let none = tape.record(std::iter::empty());
+        // Adjacent in the log: still a bare range, no node needed.
+        let ab = tape.then(a, b);
+        assert_eq!(tape.then(ab, none).nodes, NIL);
+        assert_eq!(tape.then(none, ab).nodes, NIL);
+        assert_eq!(positions(&tape, ab), [1, 2, 3]);
+        // Two paths diverge after `a`: each continues with its own record,
+        // both share `a`'s, and neither sees the other's.
+        let c = tape.record([record(4)].into_iter());
+        let (left, right) = (tape.then(a, b), tape.then(a, c));
+        assert_eq!(positions(&tape, left), [1, 2, 3]);
+        assert_eq!(positions(&tape, right), [1, 2, 4]);
+        // Concatenating whole tapes keeps time order and shares both.
+        let both = tape.then(right, left);
+        assert_eq!(positions(&tape, both), [1, 2, 4, 1, 2, 3]);
+        let longer = tape.then(both, c);
+        assert_eq!(positions(&tape, longer), [1, 2, 4, 1, 2, 3, 4]);
+        assert_eq!(tape.log.len(), 4, "every record was written once");
+    }
+
+    #[test]
+    fn compact_mapping_round_trips_and_indexes_by_start_state() {
+        let t = Transducer::from_queries(&["/a/b/c", "//b"]).unwrap();
+        let mut m = Mapping::identity(&t);
+        m.step_open(&t, sym(&t, "b"), 0, 1);
+        m.step_close(&t, sym(&t, "b"));
+        m.step_close(&t, sym(&t, "a"));
+        let compact = ChunkMapping::from_mapping(&m);
+        assert_eq!(compact.len(), m.len());
+        assert_eq!(compact.start_len, 1);
+        let mut back = compact.to_mapping();
+        back.normalise();
+        m.normalise();
+        assert_eq!(back, m);
+        let outputs: usize = m.entries.iter().map(|e| e.outputs.len()).sum();
+        assert_eq!(compact.match_records(), outputs);
+        for q in 0..t.num_states() {
+            let from_q = compact.entries_from(q);
+            assert!(from_q.iter().all(|e| e.start_state == q));
+            assert_eq!(from_q.len(), m.entries.iter().filter(|e| e.start_state == q).count());
+        }
     }
 }

@@ -181,9 +181,10 @@ impl<'t> StreamProcessor<'t> {
                 self.stats.peak_finish_states.max(out.stats.peak_finish_states);
             self.stats.working_set_bytes =
                 self.stats.working_set_bytes.max(out.stats.working_set_bytes);
+            self.stats.match_records += out.stats.match_records;
 
-            // The folder rebases depths, unifies, and drains the matches the
-            // fold made final.
+            // The folder rebases depths, follows the one entry that unifies
+            // with the prefix, and drains the matches the fold made final.
             let mut delta = self.folder.fold(out.mapping, out.depth_delta, out.ladder);
             self.ladder.extend(std::mem::take(&mut delta.ladder));
             self.collected.extend(delta.take_resolved_matches());

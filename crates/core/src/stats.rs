@@ -50,8 +50,11 @@ pub struct RunStats {
     pub peak_finish_states: usize,
     /// Total number of basic sub-query matches that survived the join.
     pub subquery_matches: usize,
-    /// Largest per-chunk double-tree footprint in bytes (the thread-local
-    /// working set of §5.2 / Fig 9).
+    /// Match records the chunks stored, over all execution paths; divided by
+    /// `subquery_matches` it is the duplication the out-of-order engine pays.
+    pub match_records: usize,
+    /// Largest per-chunk double-tree footprint in bytes, match log and tape
+    /// included (the thread-local working set of §5.2 / Fig 9).
     pub working_set_bytes: usize,
     /// Size of the shared transition tables in bytes.
     pub shared_table_bytes: usize,
@@ -118,6 +121,7 @@ mod tests {
             idle_fraction: 0.25,
             peak_finish_states: 5,
             subquery_matches: 42,
+            match_records: 84,
             working_set_bytes: 4096,
             shared_table_bytes: 1024,
         }

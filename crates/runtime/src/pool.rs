@@ -125,6 +125,9 @@ pub(crate) trait SessionEvents: Send + Sync {
 }
 
 /// Outcome of a non-blocking mailbox poll (see [`SessionCore::try_take`]).
+// `Ready` is moved once, straight into the fold, and never stored: boxing it
+// would buy an allocation per chunk for nothing.
+#[allow(clippy::large_enum_variant)]
 pub(crate) enum TryTake {
     /// The requested chunk is ready; fold it.
     Ready(ChunkOutput),

@@ -1830,9 +1830,6 @@ impl Reactor {
                 Phase::Draining
                     if conn.signal.done.load(Ordering::Acquire) && conn.outbox.is_empty() =>
                 {
-                    // Half-close so the client's frame reader sees EOF even
-                    // if it keeps its write half open.
-                    let _ = conn.stream.shutdown(Shutdown::Write);
                     self.close_conn(slot, true);
                 }
                 Phase::Rejecting if conn.outbox.is_empty() => {
@@ -1873,7 +1870,8 @@ impl Reactor {
     }
 
     /// Unregisters the connection, records its report (post-handshake
-    /// connections only), and returns the admission slot.
+    /// connections only) *before* the socket is half-closed and dropped, and
+    /// returns the admission slot.
     fn close_conn(&mut self, slot: usize, record: bool) {
         let Some(mut conn) = self.conns[slot].take() else { return };
         self.free.push(slot);
@@ -1933,6 +1931,10 @@ impl Reactor {
                     write_error: conn.write_error.take().or(sink_error),
                     read_error: conn.read_error.take(),
                 });
+                // Only now half-close (so the client's frame reader sees EOF
+                // even if it keeps its write half open): a client that has
+                // seen EOF can rely on the report being on `/metrics`.
+                let _ = conn.stream.shutdown(Shutdown::Write);
             } else {
                 // Placed but closed without a report (e.g. the outbox died
                 // before the reply could be queued): still release the

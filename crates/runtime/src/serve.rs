@@ -1640,6 +1640,10 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream, peer: SocketAddr) {
         write_error,
         read_error: read_error.map(name_verdict),
     });
+    // Half-close (the client's frame reader sees EOF even if it keeps its
+    // write half open) only after the report is recorded: a client that has
+    // seen EOF can rely on `/metrics` counting its session.
+    let _ = stream.shutdown(Shutdown::Write);
 }
 
 /// Frames a subscriber's bounded queue holds before the stream starts
@@ -1697,11 +1701,9 @@ impl SubscriberSink for OwnerSubscriber {
         if let Some(sink) = self.sink.take() {
             done.frames = sink.frames;
             done.bytes_out = sink.bytes_out;
-            let (writer, err) = sink.into_parts();
-            done.write_error = err;
-            // Half-close so the client's frame reader sees EOF even if the
-            // client keeps its write half open.
-            let _ = writer.shutdown(Shutdown::Write);
+            // The socket stays open: the connection thread half-closes it
+            // once the report is recorded, never before.
+            done.write_error = sink.into_parts().1;
         }
         done.report = Some(report);
     }
@@ -1813,7 +1815,6 @@ fn serve_attached(
     let _ = control.detach(id); // no-op when the stream ended first
     let (frames, bytes_out) = (sink.frames, sink.bytes_out);
     let (writer, write_error) = sink.into_parts();
-    let _ = writer.shutdown(Shutdown::Write);
     // The subscriber's report becomes the connection's session report: its
     // local per-query counts, its delivered/dropped totals, its (or the
     // stream's) terminal error.
@@ -1828,6 +1829,8 @@ fn serve_attached(
         error: r.error,
     });
     record(frames, bytes_out, session_report, write_error.map(|e| e.to_string()));
+    // Recorded first, closed second (see `serve_connection`).
+    let _ = writer.shutdown(Shutdown::Write);
     true
 }
 

@@ -241,6 +241,52 @@ fn admin_endpoint_serves_metrics_journal_and_404() {
     server.shutdown();
 }
 
+/// The visibility contract of `ppt_sessions_completed_total`: a session's
+/// report is recorded *before* its socket is half-closed, so a client that has
+/// read its frames to EOF finds the session on the very next scrape. (The
+/// half-close used to come first, and this lost the race about one run in
+/// six under load.) Twenty sessions per serving mode, with every core kept
+/// busy alongside so the server threads are descheduled at awkward points.
+#[test]
+fn a_session_is_on_the_metrics_page_once_its_client_has_seen_eof() {
+    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let cores = std::thread::available_parallelism().map_or(2, |n| n.get());
+    let hogs: Vec<_> = (0..cores)
+        .map(|_| {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                    std::hint::spin_loop();
+                }
+            })
+        })
+        .collect();
+    for mode in [ServerMode::Reactor, ServerMode::ThreadPerConn] {
+        let runtime = Arc::new(Runtime::builder().workers(2).build());
+        let server = TcpServer::builder()
+            .mode(mode)
+            .admin_addr("127.0.0.1:0")
+            .bind("127.0.0.1:0", runtime)
+            .expect("bind");
+        let admin = server.admin_local_addr().expect("admin bound");
+        for session in 1..=20u64 {
+            run_client(
+                server.local_addr(),
+                HandshakeRequest::new(WireFormat::JsonLines).query("//item/k"),
+                &make_doc(10),
+            );
+            let (_, page) = http_get(admin, "/metrics");
+            let completed = value(&page, "ppt_sessions_completed_total") as u64;
+            assert_eq!(completed, session, "{mode:?}: session {session} not yet recorded at EOF");
+        }
+        server.shutdown();
+    }
+    stop.store(true, std::sync::atomic::Ordering::Relaxed);
+    for hog in hogs {
+        hog.join().expect("busy thread");
+    }
+}
+
 #[test]
 fn admin_endpoint_counts_scrapes_and_survives_shutdown() {
     let runtime = Arc::new(Runtime::builder().workers(1).build());

@@ -40,20 +40,26 @@ fn main() {
 
     // Each out-of-order chunk keeps a mapping from every possible starting
     // state; show how quickly those converge.
+    // (`to_mapping` materialises the paper's set-of-entries form of the compact
+    // per-chunk result, where every match is stored once on a shared tape.)
     for out in outputs.iter().take(3) {
         println!(
-            "chunk {}: {} map entries, {} distinct finishing states, {} transitions",
+            "chunk {}: {} map entries, {} distinct finishing states, {} transitions, \
+             {} match records",
             out.index,
             out.mapping.len(),
-            out.mapping.distinct_finish_states(),
-            out.stats.transitions
+            out.mapping.to_mapping().distinct_finish_states(),
+            out.stats.transitions,
+            out.stats.match_records
         );
     }
 
-    // Join phase: fold the mappings in document order.
-    let mut acc = outputs[0].mapping.clone();
+    // Join phase, as the paper specifies it: unify the mappings in document
+    // order. (The pipelines run `PrefixFolder`, which follows only the one
+    // entry that unifies with the already-resolved prefix.)
+    let mut acc = outputs[0].mapping.to_mapping();
     for out in &outputs[1..] {
-        acc = unify_mappings(&acc, &out.mapping);
+        acc = unify_mappings(&acc, &out.mapping.to_mapping());
     }
     let entry = acc
         .entries

@@ -25,7 +25,7 @@ fn fig4_mappings_and_final_join() {
 
     // M1: the first chunk, run from the single initial state.
     let first = process_chunk(&t, &DOC[..SPLIT], 0, 0, true, EngineKind::Tree, false);
-    let m1 = &first.mapping;
+    let m1 = &first.mapping.to_mapping();
     assert_eq!(m1.len(), 1);
     assert_eq!(m1.entries[0].start_state, s1);
     assert_eq!(m1.entries[0].finish_state, s2);
@@ -34,7 +34,7 @@ fn fig4_mappings_and_final_join() {
 
     // M5: the second chunk, run from every possible starting state.
     let second = process_chunk(&t, &DOC[SPLIT..], SPLIT, 1, false, EngineKind::Tree, false);
-    let m5 = &second.mapping;
+    let m5 = &second.mapping.to_mapping();
     assert_eq!(m5.len(), 5, "M5 has five entries (Fig 4)");
     // Four entries start in the sink and fan out over the poppable states.
     assert_eq!(m5.entries.iter().filter(|e| e.start_state == sink).count(), 4);
@@ -64,8 +64,8 @@ fn naive_engine_reproduces_the_same_mappings() {
             process_chunk(&t, &DOC[range.clone()], range.start, 0, first, EngineKind::Tree, false);
         let naive =
             process_chunk(&t, &DOC[range.clone()], range.start, 0, first, EngineKind::Naive, false);
-        let mut a: Mapping = tree.mapping;
-        let mut b: Mapping = naive.mapping;
+        let mut a: Mapping = tree.mapping.to_mapping();
+        let mut b: Mapping = naive.mapping.to_mapping();
         a.normalise();
         b.normalise();
         assert_eq!(a, b);
