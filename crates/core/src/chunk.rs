@@ -18,9 +18,9 @@
 //!   returns to; this is what resolves element spans that cross chunk
 //!   boundaries.
 
-use crate::mapping::{ChunkMapping, Mapping};
+use crate::mapping::{ChunkMapping, ChunkMatch, Mapping};
 use crate::tree::DoubleTree;
-use ppt_automaton::{run_sequential_with_stats, Transducer};
+use ppt_automaton::{run_sequential_with_stats, StateId, Transducer};
 use ppt_xmlstream::{Lexer, LexerConfig, Symbol, XmlEvent};
 use std::cell::RefCell;
 use std::time::{Duration, Instant};
@@ -135,6 +135,82 @@ impl StepEngine for Naive {
             let inside_last = e.outputs.iter_mut().rev().skip_while(|m| m.pos > open_pos);
             inside_last.take_while(|m| m.pos == open_pos).for_each(|m| m.end = end);
         }
+    }
+}
+
+/// The one execution path of an in-order chunk, whose entry state and whole
+/// stack are known: one transition per event, each match recorded once.
+///
+/// It follows the mapping semantics, not [`ppt_automaton::run_sequential`]'s
+/// leniency: a close that pops below the known stack, or pops a symbol whose
+/// push could not have entered the current state, loses the path — exactly
+/// when the speculative mapping would hold no entry the join can take.
+struct OnePath {
+    state: StateId,
+    /// The whole stack, top last.
+    stack: Vec<StateId>,
+    /// Lowest stack height reached; the symbols popped below the entry
+    /// height are `popped`, first popped first.
+    floor: usize,
+    popped: Vec<StateId>,
+    log: Vec<ChunkMatch>,
+    transitions: u64,
+    lost: bool,
+}
+
+impl OnePath {
+    fn record(&mut self, t: &Transducer, next: StateId, pos: usize, rel_depth: i64) {
+        let outputs = t.output(next).iter();
+        self.log.extend(outputs.map(|&q| ChunkMatch {
+            pos,
+            end: usize::MAX,
+            rel_depth,
+            subquery: q,
+        }));
+    }
+}
+
+impl StepEngine for OnePath {
+    /// The log records the opening tag produced.
+    type Mark = (usize, usize);
+
+    fn open(&mut self, t: &Transducer, sym: Symbol, pos: usize, depth: i64) -> (usize, usize) {
+        let lo = self.log.len();
+        if !self.lost {
+            self.transitions += 1;
+            let next = t.step(self.state, sym);
+            self.stack.push(std::mem::replace(&mut self.state, next));
+            self.record(t, next, pos, depth);
+        }
+        (lo, self.log.len())
+    }
+
+    fn close(&mut self, t: &Transducer, sym: Symbol) {
+        if self.lost {
+            return;
+        }
+        self.transitions += 1;
+        match self.stack.pop() {
+            Some(z) if t.step(z, sym) == self.state => {
+                if self.stack.len() < self.floor {
+                    self.floor = self.stack.len();
+                    self.popped.push(z);
+                }
+                self.state = z;
+            }
+            _ => self.lost = true,
+        }
+    }
+
+    fn probe(&mut self, t: &Transducer, sym: Symbol, pos: usize, depth: i64) {
+        if !self.lost {
+            self.transitions += 1;
+            self.record(t, t.step(self.state, sym), pos, depth);
+        }
+    }
+
+    fn close_span(&mut self, (lo, hi): (usize, usize), end: usize) {
+        self.log[lo..hi].iter_mut().for_each(|m| m.end = end);
     }
 }
 
@@ -263,6 +339,61 @@ pub fn process_chunk(
         end_offset: abs_offset + slice.len(),
         stats,
     }
+}
+
+/// Processes one chunk **in order**: its exact entry — `state` and the whole
+/// `stack` (top last) the stream stands in before `slice` — is known, so one
+/// path is run instead of one per state. Returns the chunk's output, whose
+/// one-entry mapping [`crate::join::PrefixFolder::fold`] folds like any
+/// other, and the exact exit — the entry of the next chunk — or `None` once
+/// the path is lost (see [`ChunkMapping::exit_from`]; the mapping is then
+/// empty, as the speculative one would hold no entry for the path).
+///
+/// The other arguments are [`process_chunk`]'s.
+pub fn process_chunk_from(
+    t: &Transducer,
+    slice: &[u8],
+    abs_offset: usize,
+    index: usize,
+    state: StateId,
+    stack: Vec<StateId>,
+    need_spans: bool,
+) -> (ChunkOutput, Option<(StateId, Vec<StateId>)>) {
+    let started = Instant::now();
+    let floor = stack.len();
+    let mut path = OnePath {
+        state,
+        stack,
+        floor,
+        popped: Vec::new(),
+        log: Vec::new(),
+        transitions: 0,
+        lost: false,
+    };
+    let driven = drive(&mut path, t, slice, abs_offset, need_spans);
+    let OnePath { state: exit, stack, floor, popped, log, transitions, lost } = path;
+    let (mapping, exit) = if lost {
+        (ChunkMapping::default(), None)
+    } else {
+        (ChunkMapping::single(state, &popped, exit, &stack[floor..], log), Some((exit, stack)))
+    };
+    let stats = ChunkStats {
+        transitions,
+        tag_events: driven.tag_events,
+        peak_finish_states: 1,
+        busy: started.elapsed(),
+        working_set_bytes: mapping.match_records() * std::mem::size_of::<ChunkMatch>(),
+        match_records: mapping.match_records(),
+    };
+    let out = ChunkOutput {
+        index,
+        mapping,
+        depth_delta: driven.depth_delta,
+        ladder: driven.ladder,
+        end_offset: abs_offset + slice.len(),
+        stats,
+    };
+    (out, exit)
 }
 
 /// Convenience used by tests and the overhead experiment: the number of

@@ -198,16 +198,7 @@ impl PrefixFolder {
     ) -> FoldDelta {
         let mut matches = Vec::new();
         if let Some((state, mut stack)) = self.resolved.take() {
-            // The entry that unifies with the prefix: same start state, and
-            // its start stack (first popped first) is the top of ours.
-            let entry = stack.len().checked_sub(mapping.start_len).and_then(|kept| {
-                let popped = stack[kept..].iter().rev();
-                let mut candidates = mapping.entries_from(state).iter();
-                candidates.find(|e| mapping.stacks_of(e).0.iter().eq(popped.clone()))
-            });
-            if let Some(e) = entry {
-                stack.truncate(stack.len() - mapping.start_len);
-                stack.extend_from_slice(mapping.stacks_of(e).1);
+            if let Some(e) = mapping.follow(state, &mut stack) {
                 mapping.collect_outputs(e, &mut matches);
                 self.resolved = Some((e.finish_state, stack));
             }

@@ -44,7 +44,7 @@ pub mod parallel;
 pub mod stats;
 pub mod tree;
 
-pub use chunk::{process_chunk, ChunkOutput, EngineKind};
+pub use chunk::{process_chunk, process_chunk_from, ChunkOutput, EngineKind};
 pub use engine::{Engine, EngineBuilder, EngineConfig, QueryMatch, QueryResult};
 pub use mapping::{ChunkMapping, ChunkMatch, MapEntry, Mapping};
 pub use parallel::{run_parallel, ParallelConfig, ResolvedMatch, StreamProcessor};

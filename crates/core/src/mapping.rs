@@ -339,6 +339,51 @@ impl ChunkMapping {
         ChunkMapping { entries, stacks, start_len, finish_len, tape }
     }
 
+    /// The one entry of an in-order chunk: the path that started in `start`
+    /// (popping `start_stack`, first popped first) finishes in `finish` with
+    /// `finish_stack` pushed, having emitted `log` in document order.
+    pub(crate) fn single(
+        start: StateId,
+        start_stack: &[StateId],
+        finish: StateId,
+        finish_stack: &[StateId],
+        log: Vec<ChunkMatch>,
+    ) -> ChunkMapping {
+        let tape = Tape { nodes: NIL, lo: 0, hi: log.len() as u32 };
+        let entry = CompactEntry { start_state: start, finish_state: finish, stacks: 0, tape };
+        ChunkMapping {
+            entries: vec![entry],
+            stacks: [start_stack, finish_stack].concat(),
+            start_len: start_stack.len(),
+            finish_len: finish_stack.len(),
+            tape: OutputTape { log, nodes: Vec::new() },
+        }
+    }
+
+    /// Carries a path that stands in `state` with `stack` (top last) before
+    /// this chunk across it: pops and pushes `stack` in place and returns the
+    /// entry it took, or `None` — leaving `stack` untouched — when the chunk
+    /// pops deeper than `stack` or no entry starts there (the path is lost).
+    pub(crate) fn follow(&self, state: StateId, stack: &mut Vec<StateId>) -> Option<&CompactEntry> {
+        // The entry that unifies with the path: same start state, and its
+        // start stack (first popped first) is the top of `stack`.
+        let kept = stack.len().checked_sub(self.start_len)?;
+        let popped = stack[kept..].iter().rev();
+        let e = self
+            .entries_from(state)
+            .iter()
+            .find(|e| self.stacks_of(e).0.iter().eq(popped.clone()))?;
+        stack.truncate(kept);
+        stack.extend_from_slice(self.stacks_of(e).1);
+        Some(e)
+    }
+
+    /// The state a path standing in `state` with `stack` is in after this
+    /// chunk (`stack` updated in place), or `None` once the path is lost.
+    pub fn exit_from(&self, state: StateId, stack: &mut Vec<StateId>) -> Option<StateId> {
+        self.follow(state, stack).map(|e| e.finish_state)
+    }
+
     /// Compacts a [`Mapping`] (the naive engine's result).
     pub fn from_mapping(m: &Mapping) -> ChunkMapping {
         let (mut tape, mut stacks) = (OutputTape::default(), Vec::new());

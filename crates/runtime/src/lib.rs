@@ -16,9 +16,10 @@
 //! * the **splitter** lexes window boundaries off any [`std::io::Read`]
 //!   source with [`ppt_xmlstream::WindowSplitter`] (partial tags are carried
 //!   across windows, never cut) and chops windows into arbitrary-byte chunks;
-//! * the **worker pool** computes each chunk's state mapping out of order —
-//!   chunks from *all* sessions interleave in one queue, so a single process
-//!   serves many clients from one set of cores;
+//! * the **worker pool** runs each session's next chunk in order from its
+//!   exact entry state, and — on a worker that would otherwise idle, where
+//!   the session's measured cost says it pays — chunks further ahead from
+//!   all states, out of order; one set of workers serves every session;
 //! * the **joiner** eagerly left-folds mappings the moment the next-in-order
 //!   chunk completes ([`ppt_core::join::PrefixFolder`]), resolves element
 //!   spans incrementally, filters predicates scope-by-scope, and emits every
@@ -156,6 +157,10 @@ pub struct SessionOptions {
     /// shared-stream subscription layer sets it so subscribers can attach
     /// new queries while the stream is live. Default off.
     pub track_open_path: bool,
+    /// Fault injection for failure-isolation tests: the worker that starts
+    /// this chunk of the session panics.
+    #[doc(hidden)]
+    pub panic_on_chunk: Option<u64>,
 }
 
 impl SessionOptions {
@@ -315,9 +320,15 @@ impl Runtime {
         ))
     }
 
-    /// Peak depth the shared job queue has reached across all sessions.
+    /// Peak number of chunks submitted and not yet started, across all
+    /// sessions.
     pub fn peak_queue_depth(&self) -> usize {
         self.pool.peak_queue_depth()
+    }
+
+    /// Chunks this runtime's workers have run `(in order, speculatively)`.
+    pub fn chunk_modes(&self) -> (u64, u64) {
+        self.pool.chunk_modes()
     }
 
     /// Opens a session with an owned sink: push bytes with

@@ -1,25 +1,43 @@
-//! The shared worker pool and per-session pipeline state.
+//! The shared worker pool and per-session scheduling state.
 //!
-//! One [`WorkerPool`] serves every session of a [`crate::Runtime`]: jobs
-//! (one chunk each) from all sessions interleave in a single FIFO queue and
-//! any worker can execute any session's chunk — the transducer tables live in
-//! an `Arc<Engine>` carried by the job's session handle. Per-session fairness
-//! falls out of the credit scheme: a session may only have
-//! `inflight_chunks` jobs admitted at a time, so one slow consumer cannot
-//! flood the queue.
+//! One [`WorkerPool`] serves every session of a [`crate::Runtime`]. A
+//! session's submitted chunks wait in its own [`Mailbox`], not in a shared
+//! queue, and each session carries a *relay*: the sequence number of the
+//! chunk every earlier chunk of which has run, and that chunk's exact entry
+//! state and stack, starting at `(q₀, ε)`. The pool's queue holds only work
+//! that may start now:
+//!
+//! * **heads** — a session's relay chunk, claimed the moment it is both
+//!   submitted and next. It runs in order from the exact entry
+//!   ([`process_chunk_from`], one path, sequential speed); the worker that
+//!   ran it publishes the exit into the relay and carries straight on with
+//!   the session's next chunk if it is already waiting — no wake, no queue —
+//!   unless other sessions' heads are queued, which it then lets go first.
+//! * **candidates** — sessions with waiting chunks ahead of the relay that a
+//!   worker which would otherwise idle may run from all states
+//!   ([`process_chunk`], the paper's speculation), when the session's
+//!   measured cost ratio R is below the worker count (see
+//!   [`Mailbox::may_speculate`]). The relay passes such a chunk by following
+//!   its mapping from the exact entry.
+//!
+//! Per-session fairness falls out of the credit scheme: a session may only
+//! have `inflight_chunks` chunks admitted at a time, so one slow consumer
+//! cannot flood the pool.
 
 use crate::retain::RetentionRing;
 use crate::stats::Counters;
 use crate::telemetry::RuntimeTelemetry;
 use crate::SessionOptions;
-use ppt_core::chunk::{process_chunk, ChunkOutput, EngineKind};
+use ppt_automaton::StateId;
+use ppt_core::chunk::{process_chunk, process_chunk_from, ChunkOutput, EngineKind};
+use ppt_core::join::PrefixFolder;
 use ppt_core::Engine;
 use ppt_xmlstream::SharedWindow;
 use std::collections::{BTreeMap, VecDeque};
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Locks `mutex`, recovering the guard when a panicking holder poisoned it.
 /// Returns the guard plus whether poison was observed.
@@ -55,14 +73,13 @@ pub(crate) fn wait_recover<'a, T>(
     }
 }
 
-/// One unit of worker work: a chunk of one session's window.
+/// One chunk of one session's window, as the feeder submits it.
 pub(crate) struct Job {
-    pub session: Arc<SessionCore>,
     /// The engine whose transducer processes this chunk. Stamped by the
     /// feeder at submission time: after a mid-stream engine swap (a
     /// subscriber attached new queries to a shared stream) chunks before the
     /// swap boundary still run on the old automaton while later chunks run
-    /// on the merged one — the two interleave freely in the queue.
+    /// on the merged one.
     pub engine: Arc<Engine>,
     /// The window the chunk slices into (refcount-shared by all of its
     /// chunks, and by the retention ring when payload retention is on).
@@ -71,9 +88,80 @@ pub(crate) struct Job {
     pub range: Range<usize>,
     /// Global chunk sequence number within the session.
     pub seq: u64,
-    /// True only for the session's very first chunk (it starts from the
-    /// single initial state).
-    pub first: bool,
+}
+
+impl Job {
+    /// Under half the engine's chunk size — a window's tail, mostly. Its
+    /// fixed cost per chunk swamps the per-byte one: never worth running from
+    /// all states, and no sample of R.
+    fn is_tail(&self) -> bool {
+        2 * self.range.len() < self.engine.config().chunk_size
+    }
+}
+
+/// Where a session's real execution path stands at its relay's chunk.
+enum Path {
+    /// The exact entry: state and whole stack (top last).
+    Known(StateId, Vec<StateId>),
+    /// A worker holds the entry and is running the chunk in order.
+    Running,
+    /// The path is lost (an underflow or a mismatched close): nothing the
+    /// join folds emits a match again, and every chunk starts from all
+    /// states — until an engine swap re-seeds the path.
+    Lost,
+}
+
+/// A session's relay: the chunk every earlier chunk of which has run, and
+/// that chunk's exact entry. It starts at chunk 0 in `(q₀, ε)`.
+struct Relay {
+    next: u64,
+    path: Path,
+}
+
+/// What a session has measured of its two ways to run a chunk:
+/// `(busy nanoseconds, bytes)` summed over its chunks of each kind, tails
+/// ([`Job::is_tail`]) left out.
+#[derive(Default)]
+struct Costs {
+    in_order: (u128, usize),
+    speculative: (u128, usize),
+    /// A speculative chunk is running while R is not known yet.
+    probing: bool,
+}
+
+impl Costs {
+    fn record(&mut self, in_order: bool, busy: Duration, bytes: usize) {
+        let sum = if in_order { &mut self.in_order } else { &mut self.speculative };
+        *sum = (sum.0 + busy.as_nanos(), sum.1 + bytes);
+    }
+
+    /// R: speculative ns/byte over in-order ns/byte — the number of workers
+    /// at which running chunks from all states breaks even with running
+    /// them one after another (§3.3's convergence overhead, measured).
+    fn ratio(&self) -> Option<f64> {
+        let per_byte = |(ns, bytes): (u128, usize)| (bytes > 0).then(|| ns as f64 / bytes as f64);
+        Some(per_byte(self.speculative)? / per_byte(self.in_order)?.max(f64::MIN_POSITIVE))
+    }
+}
+
+/// What a worker reports of a chunk it ran, besides the output.
+struct Ran {
+    /// The chunk was the relay's own.
+    head: bool,
+    /// It ran in order, from the exact entry; `exit` is then its exact exit.
+    in_order: bool,
+    exit: Option<(StateId, Vec<StateId>)>,
+    /// The chunk's length, when it is a sample of R (not a tail).
+    sample: Option<usize>,
+}
+
+/// How a worker runs a chunk.
+pub(crate) enum Run {
+    /// The session's head chunk from its exact entry, on one path.
+    InOrder(StateId, Vec<StateId>),
+    /// From all states; `head` when the chunk is the relay's own (its path
+    /// is lost) rather than one ahead of it.
+    Speculative { head: bool },
 }
 
 /// A mid-stream engine replacement, scheduled at a chunk-sequence boundary.
@@ -90,10 +178,19 @@ pub(crate) struct EngineSwap {
     pub open_path: Vec<Vec<u8>>,
 }
 
-/// Reorder buffer between the workers and a session's joiner.
-#[derive(Default)]
+/// A session's scheduling state and the reorder buffer between its workers
+/// and its joiner, under one lock.
 pub(crate) struct Mailbox {
-    /// Completed chunk outputs keyed by sequence number.
+    /// Submitted chunks no worker has started, in sequence order. The
+    /// relay's own chunk is never among them: it is claimed the moment it is
+    /// both submitted and next.
+    waiting: VecDeque<Job>,
+    relay: Relay,
+    costs: Costs,
+    /// The session sits in the pool's list of speculation candidates.
+    listed: bool,
+    /// Completed chunk outputs keyed by sequence number. Those at or past
+    /// the relay are speculative outputs it has not reached yet.
     pub ready: BTreeMap<u64, ChunkOutput>,
     /// Engine swaps keyed by the first chunk sequence they apply to. A
     /// second swap scheduled at the same boundary overwrites the first —
@@ -105,6 +202,109 @@ pub(crate) struct Mailbox {
     /// Why the session was poisoned (a worker panicked on one of its
     /// chunks), if it was.
     pub poisoned: Option<String>,
+}
+
+/// What a change of one session's scheduling state asks of the pool.
+#[derive(Default)]
+struct Wake {
+    /// The relay's chunk, just claimed: run it (in order while the path is
+    /// known).
+    head: Option<(Job, Run)>,
+    /// The session newly has chunks a worker that would otherwise idle may
+    /// speculate on.
+    list: bool,
+}
+
+impl Mailbox {
+    fn new(initial: StateId) -> Mailbox {
+        Mailbox {
+            waiting: VecDeque::new(),
+            relay: Relay { next: 0, path: Path::Known(initial, Vec::new()) },
+            costs: Costs::default(),
+            listed: false,
+            ready: BTreeMap::new(),
+            swaps: BTreeMap::new(),
+            total: None,
+            poisoned: None,
+        }
+    }
+
+    /// The relay reaches chunk `seq`: an engine swap scheduled there re-seeds
+    /// the path for the new transducer from the open-tag path, exactly as
+    /// the joiner's folder is rebuilt when it folds that chunk.
+    fn enter(&mut self, seq: u64) {
+        if let Some(swap) = self.swaps.get(&seq) {
+            let names = swap.open_path.iter().map(Vec::as_slice);
+            let folder = PrefixFolder::resume(swap.engine.transducer(), names, 0);
+            self.relay.path = match folder.resolved() {
+                Some((state, stack)) => Path::Known(state, stack.to_vec()),
+                None => Path::Lost,
+            };
+        }
+    }
+
+    /// Carries the relay across the speculative outputs already delivered
+    /// for its chunk and the ones after it, following each mapping from the
+    /// exact entry. Runs in the same critical section that delivers a chunk,
+    /// so the joiner cannot fold one of them before the relay passed it.
+    fn pass_delivered(&mut self) {
+        while self.ready.contains_key(&self.relay.next) {
+            let seq = self.relay.next;
+            self.enter(seq);
+            let path = std::mem::replace(&mut self.relay.path, Path::Lost);
+            if let (Path::Known(state, mut stack), Some(out)) = (path, self.ready.get(&seq)) {
+                if let Some(exit) = out.mapping.exit_from(state, &mut stack) {
+                    self.relay.path = Path::Known(exit, stack);
+                }
+            }
+            self.relay.next += 1;
+        }
+    }
+
+    /// Claims the relay's chunk if it is waiting, handing over its entry.
+    fn claim_head(&mut self) -> Option<(Job, Run)> {
+        if self.poisoned.is_some() || self.waiting.front()?.seq != self.relay.next {
+            return None;
+        }
+        let job = self.waiting.pop_front()?;
+        self.enter(job.seq);
+        let run = match std::mem::replace(&mut self.relay.path, Path::Running) {
+            Path::Known(state, stack) => Run::InOrder(state, stack),
+            _ => {
+                self.relay.path = Path::Lost;
+                Run::Speculative { head: true }
+            }
+        };
+        Some((job, run))
+    }
+
+    /// Whether a worker that would otherwise idle may run one of this
+    /// session's waiting chunks from all states. Never on one worker; always
+    /// once the path is lost (no chunk can run in order then); otherwise
+    /// while R is below the worker count — the break-even — and, until R is
+    /// known, one probe chunk at a time.
+    fn may_speculate(&self, workers: usize) -> bool {
+        if workers < 2 || self.poisoned.is_some() {
+            return false;
+        }
+        if matches!(self.relay.path, Path::Lost) {
+            return true;
+        }
+        match self.costs.ratio() {
+            Some(r) => r < workers as f64,
+            None => !self.costs.probing,
+        }
+    }
+
+    /// Marks the session listed when it newly has chunks to speculate on;
+    /// `true` asks the caller to put it on the pool's candidate list.
+    fn list(&mut self, workers: usize) -> bool {
+        let list = !self.listed
+            && self.waiting.iter().any(|job| !job.is_tail())
+            && self.may_speculate(workers);
+        self.listed |= list;
+        list
+    }
 }
 
 /// Progress callbacks a *non-blocking* session driver (the reactor)
@@ -170,6 +370,8 @@ pub(crate) struct SessionCore {
     /// Progress hooks for a non-blocking driver (set once, before the first
     /// byte is fed; `None` for the blocking entry points).
     events: OnceLock<Arc<dyn SessionEvents>>,
+    /// Fault injection: the worker that starts this chunk panics.
+    panic_on_chunk: Option<u64>,
 }
 
 impl SessionCore {
@@ -181,11 +383,12 @@ impl SessionCore {
     ) -> SessionCore {
         let kind = engine.config().engine;
         let resolve_spans = engine.config().resolve_spans;
+        let mailbox = Mailbox::new(engine.transducer().initial());
         SessionCore {
             engine,
             kind,
             resolve_spans,
-            mailbox: Mutex::new(Mailbox::default()),
+            mailbox: Mutex::new(mailbox),
             mailbox_cv: Condvar::new(),
             credits: Mutex::new(inflight_chunks.max(1)),
             credits_cv: Condvar::new(),
@@ -196,6 +399,7 @@ impl SessionCore {
             counters: Counters::new(),
             telemetry,
             events: OnceLock::new(),
+            panic_on_chunk: opts.panic_on_chunk,
         }
     }
 
@@ -284,19 +488,79 @@ impl SessionCore {
         self.fire_credit();
     }
 
-    /// Delivers a completed chunk to the joiner.
-    pub fn deliver(&self, seq: u64, out: ChunkOutput) {
-        let (mut mb, poisoned) = lock_recover(&self.mailbox);
+    /// Locks the mailbox for a scheduling change; `None` (after poisoning
+    /// the session) when a panicking holder poisoned the lock.
+    fn lock_mailbox(&self) -> Option<MutexGuard<'_, Mailbox>> {
+        let (mb, poisoned) = lock_recover(&self.mailbox);
         if poisoned {
             drop(mb);
             self.poison("mailbox lock poisoned by a panicking pipeline stage".to_string());
-            return;
+            return None;
+        }
+        Some(mb)
+    }
+
+    /// Feeder side: a submitted chunk waits in the session; it is claimed at
+    /// once when it is the relay's chunk. Chunks of a dead session are
+    /// dropped.
+    fn enqueue(&self, job: Job, workers: usize) -> Wake {
+        let Some(mut mb) = self.lock_mailbox() else { return Wake::default() };
+        if mb.poisoned.is_some() {
+            return Wake::default();
+        }
+        mb.waiting.push_back(job);
+        let head = mb.claim_head();
+        Wake { head, list: mb.list(workers) }
+    }
+
+    /// A worker that would otherwise idle: takes the waiting chunk farthest
+    /// ahead of the relay (the one the in-order chain reaches last) that is
+    /// not a tail, when the session may speculate. The flag says to list the
+    /// session again.
+    fn take_speculative(&self, workers: usize) -> (Option<Job>, bool) {
+        let Some(mut mb) = self.lock_mailbox() else { return (None, false) };
+        mb.listed = false;
+        if !mb.may_speculate(workers) {
+            return (None, false);
+        }
+        let at = mb.waiting.iter().rposition(|job| !job.is_tail());
+        let job = at.and_then(|at| mb.waiting.remove(at));
+        mb.costs.probing |= job.is_some() && mb.costs.ratio().is_none();
+        (job, mb.list(workers))
+    }
+
+    /// A worker finished chunk `seq` (`exit`: the exact exit of an in-order
+    /// run): moves the relay, delivers the output to the joiner and claims
+    /// the relay's next chunk if it is waiting — for the caller to run.
+    fn complete(&self, seq: u64, out: ChunkOutput, run: Ran, workers: usize) -> Wake {
+        let Some(mut mb) = self.lock_mailbox() else { return Wake::default() };
+        if let Some(bytes) = run.sample {
+            mb.costs.record(run.in_order, out.stats.busy, bytes);
+        }
+        mb.costs.probing &= run.in_order;
+        if run.head {
+            mb.relay.next = seq + 1;
+            if run.in_order {
+                mb.relay.path = match run.exit {
+                    Some((state, stack)) => Path::Known(state, stack),
+                    None => Path::Lost,
+                };
+            }
         }
         mb.ready.insert(seq, out);
         self.counters.raise_peak_reorder(mb.ready.len());
+        mb.pass_delivered();
+        let wake = Wake { head: mb.claim_head(), list: mb.list(workers) };
         drop(mb);
         self.mailbox_cv.notify_all();
         self.fire_deliverable();
+        wake
+    }
+
+    /// The session's last measured R (see [`Mailbox::may_speculate`]), once
+    /// both kinds of chunk have run.
+    pub fn speculation_ratio(&self) -> Option<f64> {
+        lock_recover(&self.mailbox).0.costs.ratio()
     }
 
     /// Schedules an engine swap: every chunk with sequence `>= seq` must be
@@ -357,6 +621,9 @@ impl SessionCore {
         if mb.poisoned.is_none() {
             mb.poisoned = Some(message);
         }
+        // Nothing of a dead session runs again.
+        mb.waiting.clear();
+        mb.relay.path = Path::Lost;
         self.dead.store(true, Ordering::SeqCst);
         drop(mb);
         self.mailbox_cv.notify_all();
@@ -444,11 +711,181 @@ pub(crate) fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
         .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
+/// A chunk ready for a worker.
+struct Task {
+    session: Arc<SessionCore>,
+    job: Job,
+    run: Run,
+}
+
+/// The pool's shared queue: only work that may start now.
+#[derive(Default)]
+struct PoolQueue {
+    /// Claimed head chunks, FIFO across sessions.
+    heads: VecDeque<Task>,
+    /// Sessions with chunks a worker that would otherwise idle may
+    /// speculate on (each listed at most once).
+    candidates: VecDeque<Arc<SessionCore>>,
+}
+
 struct PoolShared {
-    queue: Mutex<VecDeque<Job>>,
-    job_ready: Condvar,
+    queue: Mutex<PoolQueue>,
+    work_ready: Condvar,
     shutdown: AtomicBool,
+    workers: usize,
+    /// Heads in `queue`, readable without its lock: a worker carrying a
+    /// session's chain yields to them.
+    heads_queued: AtomicUsize,
+    /// Chunks submitted and not yet started, over all sessions.
+    queued: AtomicUsize,
     peak_queue: AtomicUsize,
+    chunks_in_order: AtomicU64,
+    chunks_speculative: AtomicU64,
+}
+
+impl PoolShared {
+    /// Acts on a session's scheduling change. A `worker` carries the claimed
+    /// head on itself — returned, no wake — unless other sessions' heads are
+    /// waiting: then it yields, queueing its own behind them.
+    fn dispatch(&self, session: &Arc<SessionCore>, wake: Wake, worker: bool) -> Option<Task> {
+        let mut head = wake.head.map(|(job, run)| Task { session: Arc::clone(session), job, run });
+        // RELAXED-OK: a fairness hint; the queue lock orders the hand-off
+        // itself, and a stale count only lets a chain run one chunk longer.
+        let carry = worker && self.heads_queued.load(Ordering::Relaxed) == 0;
+        let carried = if carry { head.take() } else { None };
+        if head.is_none() && !wake.list {
+            return carried;
+        }
+        let mut queue = lock_recover(&self.queue).0;
+        let mut wakes = 0;
+        if wake.list {
+            queue.candidates.push_back(Arc::clone(session));
+            wakes += 1;
+        }
+        if let Some(task) = head {
+            queue.heads.push_back(task);
+            // RELAXED-OK: the hint above; written under the queue lock.
+            self.heads_queued.fetch_add(1, Ordering::Relaxed);
+            // A yielding worker takes the queue's front itself.
+            wakes += usize::from(!worker);
+        }
+        drop(queue);
+        for _ in 0..wakes {
+            self.work_ready.notify_one();
+        }
+        carried
+    }
+
+    /// Blocks until a chunk may start: a queued head first, else a chunk to
+    /// speculate on from a listed session; `None` once shut down and idle.
+    fn next_task(&self) -> Option<Task> {
+        // Poison recovery, same reasoning as `WorkerPool::submit`: the
+        // shared queue must outlive any one session's panic.
+        let mut queue = lock_recover(&self.queue).0;
+        loop {
+            if let Some(task) = queue.heads.pop_front() {
+                // RELAXED-OK: the fairness hint of `dispatch`.
+                self.heads_queued.fetch_sub(1, Ordering::Relaxed);
+                return Some(task);
+            }
+            if let Some(session) = queue.candidates.pop_front() {
+                // The session lock is never taken under the queue lock.
+                drop(queue);
+                let (job, relist) = session.take_speculative(self.workers);
+                let wake = Wake { head: None, list: relist };
+                self.dispatch(&session, wake, false);
+                if let Some(job) = job {
+                    return Some(Task { session, job, run: Run::Speculative { head: false } });
+                }
+                queue = lock_recover(&self.queue).0;
+                continue;
+            }
+            if self.shutdown.load(Ordering::SeqCst) {
+                return None;
+            }
+            queue = wait_recover(&self.work_ready, queue).0;
+        }
+    }
+
+    /// Runs one chunk; returns the session's next head when this worker is
+    /// to carry on with it.
+    fn run(&self, task: Task) -> Option<Task> {
+        let Task { session: core, job, run } = task;
+        // RELAXED-OK: a gauge behind a high-watermark stat; orders nothing.
+        self.queued.fetch_sub(1, Ordering::Relaxed);
+        if core.is_dead() {
+            return None;
+        }
+        // The chunk index feeds the fold bookkeeping as a `usize`. On a
+        // 64-bit target the conversion is lossless; on a 32-bit one a stream
+        // past 2^32 chunks used to wrap silently (`job.seq as usize`) and
+        // corrupt the join order — kill the one session whose stream got
+        // there instead.
+        let Ok(index) = usize::try_from(job.seq) else {
+            core.poison(format!("chunk sequence {} overflows usize on this platform", job.seq));
+            return None;
+        };
+        let head = matches!(run, Run::InOrder(..) | Run::Speculative { head: true });
+        let in_order = matches!(run, Run::InOrder(..));
+        let started = Instant::now();
+        // A panic while transducing one session's chunk must not take the
+        // shared worker down (it serves every session) nor leave the
+        // session's joiner waiting forever for an output that will never
+        // arrive: catch it and poison the session instead.
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            if core.panic_on_chunk == Some(job.seq) {
+                panic!("injected fault on chunk {}", job.seq);
+            }
+            let t = job.engine.transducer();
+            let slice = &job.window.bytes()[job.range.clone()];
+            let offset = job.window.base() + job.range.start;
+            match run {
+                Run::InOrder(state, stack) => {
+                    process_chunk_from(t, slice, offset, index, state, stack, core.resolve_spans)
+                }
+                Run::Speculative { .. } => {
+                    let out = process_chunk(
+                        t,
+                        slice,
+                        offset,
+                        index,
+                        false,
+                        core.kind,
+                        core.resolve_spans,
+                    );
+                    (out, None)
+                }
+            }
+        }));
+        let busy = started.elapsed();
+        // RELAXED-OK: monotonic stat accumulator; orders nothing.
+        core.counters.worker_busy_nanos.fetch_add(busy.as_nanos() as u64, Ordering::Relaxed);
+        core.telemetry.transduce_nanos.record_duration(busy);
+        let (out, exit) = match result {
+            Ok(done) => done,
+            Err(panic) => {
+                core.poison(format!(
+                    "worker panicked on chunk {}: {}",
+                    job.seq,
+                    panic_message(&*panic)
+                ));
+                return None;
+            }
+        };
+        let (session_count, pool_count) = if in_order {
+            (&core.counters.chunks_in_order, &self.chunks_in_order)
+        } else {
+            (&core.counters.chunks_speculative, &self.chunks_speculative)
+        };
+        // RELAXED-OK: monotonic stat counters; order nothing.
+        session_count.fetch_add(1, Ordering::Relaxed);
+        // RELAXED-OK: as above.
+        pool_count.fetch_add(1, Ordering::Relaxed);
+        let sample = (!job.is_tail()).then(|| job.range.len());
+        let ran = Ran { head, in_order, exit, sample };
+        let wake = core.complete(job.seq, out, ran, self.workers);
+        self.dispatch(&core, wake, true)
+    }
 }
 
 /// The shared pool of transducer workers.
@@ -460,13 +897,19 @@ pub(crate) struct WorkerPool {
 impl WorkerPool {
     /// Spawns `workers` threads.
     pub fn new(workers: usize) -> WorkerPool {
+        let count = workers.max(1);
         let shared = Arc::new(PoolShared {
-            queue: Mutex::new(VecDeque::new()),
-            job_ready: Condvar::new(),
+            queue: Mutex::new(PoolQueue::default()),
+            work_ready: Condvar::new(),
             shutdown: AtomicBool::new(false),
+            workers: count,
+            heads_queued: AtomicUsize::new(0),
+            queued: AtomicUsize::new(0),
             peak_queue: AtomicUsize::new(0),
+            chunks_in_order: AtomicU64::new(0),
+            chunks_speculative: AtomicU64::new(0),
         });
-        let workers = (0..workers.max(1))
+        let workers = (0..count)
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
@@ -480,25 +923,35 @@ impl WorkerPool {
         WorkerPool { shared, workers }
     }
 
-    /// Enqueues one chunk job.
+    /// Submits one chunk of `session`. It waits in the session until it is
+    /// the relay's chunk or a worker would otherwise idle.
     ///
     /// The queue lock recovers from poisoning: the shared queue serves every
-    /// session, and a `VecDeque` is structurally valid even if a holder
+    /// session, and its collections are structurally valid even if a holder
     /// panicked — one session's failure must not wedge everyone's submits.
-    pub fn submit(&self, job: Job) {
-        let mut queue = lock_recover(&self.shared.queue).0;
-        queue.push_back(job);
+    pub fn submit(&self, session: &Arc<SessionCore>, job: Job) {
         // RELAXED-OK: high-watermark stat; racy max is acceptable and
         // orders nothing.
-        self.shared.peak_queue.fetch_max(queue.len(), Ordering::Relaxed);
-        drop(queue);
-        self.shared.job_ready.notify_one();
+        let queued = self.shared.queued.fetch_add(1, Ordering::Relaxed) + 1;
+        // RELAXED-OK: as above.
+        self.shared.peak_queue.fetch_max(queued, Ordering::Relaxed);
+        let wake = session.enqueue(job, self.shared.workers);
+        self.shared.dispatch(session, wake, false);
     }
 
-    /// Peak length the job queue has reached.
+    /// Peak number of chunks submitted and not yet started, over all
+    /// sessions.
     pub fn peak_queue_depth(&self) -> usize {
         // RELAXED-OK: stat read; staleness is acceptable.
         self.shared.peak_queue.load(Ordering::Relaxed)
+    }
+
+    /// Chunks run `(in order, speculatively)` by this pool so far.
+    pub fn chunk_modes(&self) -> (u64, u64) {
+        // RELAXED-OK: stat reads; staleness is acceptable.
+        let in_order = self.shared.chunks_in_order.load(Ordering::Relaxed);
+        // RELAXED-OK: as above.
+        (in_order, self.shared.chunks_speculative.load(Ordering::Relaxed))
     }
 
     /// Number of worker threads.
@@ -509,8 +962,12 @@ impl WorkerPool {
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
+        // Set under the queue lock: a worker between its shutdown check and
+        // its wait would otherwise miss the wake and never exit.
+        let queue = lock_recover(&self.shared.queue).0;
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.job_ready.notify_all();
+        drop(queue);
+        self.shared.work_ready.notify_all();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
@@ -518,61 +975,9 @@ impl Drop for WorkerPool {
 }
 
 fn worker_loop(shared: &PoolShared) {
-    loop {
-        let job = {
-            // Poison recovery, same reasoning as `WorkerPool::submit`: the
-            // shared queue must outlive any one session's panic.
-            let mut queue = lock_recover(&shared.queue).0;
-            loop {
-                if let Some(job) = queue.pop_front() {
-                    break job;
-                }
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                queue = wait_recover(&shared.job_ready, queue).0;
-            }
-        };
-        let core = Arc::clone(&job.session);
-        // The chunk index feeds the fold bookkeeping as a `usize`. On a
-        // 64-bit target the conversion is lossless; on a 32-bit one a stream
-        // past 2^32 chunks used to wrap silently (`job.seq as usize`) and
-        // corrupt the join order — kill the one session whose stream got
-        // there instead.
-        let Ok(seq_index) = usize::try_from(job.seq) else {
-            core.poison(format!("chunk sequence {} overflows usize on this platform", job.seq));
-            continue;
-        };
-        let started = Instant::now();
-        // A panic while transducing one session's chunk must not take the
-        // shared worker down (it serves every session) nor leave the
-        // session's joiner waiting forever for an output that will never
-        // arrive: catch it and poison the session instead.
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            process_chunk(
-                job.engine.transducer(),
-                &job.window.bytes()[job.range.clone()],
-                job.window.base() + job.range.start,
-                seq_index,
-                job.first,
-                core.kind,
-                core.resolve_spans,
-            )
-        }));
-        let busy = started.elapsed();
-        // RELAXED-OK: monotonic stat accumulator; orders nothing.
-        core.counters.worker_busy_nanos.fetch_add(busy.as_nanos() as u64, Ordering::Relaxed);
-        core.telemetry.transduce_nanos.record_duration(busy);
-        match result {
-            Ok(out) => core.deliver(job.seq, out),
-            Err(panic) => {
-                core.poison(format!(
-                    "worker panicked on chunk {}: {}",
-                    job.seq,
-                    panic_message(&panic)
-                ));
-            }
-        }
+    let mut carried = None;
+    while let Some(task) = carried.take().or_else(|| shared.next_task()) {
+        carried = shared.run(task);
     }
 }
 
@@ -631,14 +1036,8 @@ mod tests {
         poison_mutex(&pool.shared.queue);
         // The shared queue serves every session: submits keep working.
         let core = test_core();
-        pool.submit(Job {
-            session: Arc::clone(&core),
-            engine: Arc::clone(&core.engine),
-            window: SharedWindow::new(0, b"<a></a>".to_vec()),
-            range: 0..7,
-            seq: 0,
-            first: true,
-        });
+        let window = SharedWindow::new(0, b"<a></a>".to_vec());
+        pool.submit(&core, Job { engine: Arc::clone(&core.engine), window, range: 0..7, seq: 0 });
         core.announce_total(1);
         let out = core.wait_for(0);
         assert!(out.is_some(), "a worker must still pick the job up");

@@ -817,6 +817,7 @@ fn run_join_task(task: &Arc<JoinTask>) {
                 match_counts: Vec::new(),
                 submatch_counts: Vec::new(),
                 error: core.poison_message(),
+                speculation_ratio: core.speculation_ratio(),
             };
             // Subscribers (the owner included) still get their final
             // accounting, carrying the stream's poison message. Idempotent:
@@ -1913,6 +1914,7 @@ impl Reactor {
                                 match_counts: r.match_counts,
                                 submatch_counts: Vec::new(),
                                 error: r.error,
+                                speculation_ratio: None,
                             });
                             (report, done.frames, done.bytes_out, sink_error)
                         }

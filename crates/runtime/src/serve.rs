@@ -740,6 +740,7 @@ impl Shared {
             .map(|idx| {
                 let runtime = self.router.shard(idx);
                 let acc = &self.accounting[idx];
+                let (chunks_in_order, chunks_speculative) = runtime.chunk_modes();
                 ShardStats {
                     shard: idx,
                     workers: runtime.workers(),
@@ -750,6 +751,8 @@ impl Shared {
                     bytes_out: acc.bytes_out.load(Ordering::Acquire),
                     peak_retained_bytes: acc.peak_retained.load(Ordering::Acquire),
                     peak_queue_depth: runtime.peak_queue_depth(),
+                    chunks_in_order,
+                    chunks_speculative,
                 }
             })
             .collect();
@@ -877,9 +880,20 @@ impl Shared {
                 label("shard"),
                 shard.peak_retained_bytes as f64,
             );
+            for (mode, chunks) in
+                [("in_order", shard.chunks_in_order), ("speculative", shard.chunks_speculative)]
+            {
+                reg.counter(
+                    "ppt_chunks_total",
+                    "Chunks run, by shard and mode: in order from the exact entry, or \
+                     speculatively from all states.",
+                    vec![("shard", shard.shard.to_string()), ("mode", mode.to_string())],
+                    chunks,
+                );
+            }
             reg.gauge(
                 "ppt_shard_peak_queue_depth",
-                "Peak worker-pool job-queue depth, by shard.",
+                "Peak worker-pool chunks submitted and not yet started, by shard.",
                 label("shard"),
                 shard.peak_queue_depth as f64,
             );
@@ -1827,6 +1841,7 @@ fn serve_attached(
         match_counts: r.match_counts,
         submatch_counts: Vec::new(),
         error: r.error,
+        speculation_ratio: None,
     });
     record(frames, bytes_out, session_report, write_error.map(|e| e.to_string()));
     // Recorded first, closed second (see `serve_connection`).

@@ -5,8 +5,8 @@
 //!
 //! ```text
 //! Read source ──► Feeder (window split, chunk split) ──► shared WorkerPool
-//!                                                             │ out of order
-//!                                                             ▼
+//!                                                             │ in order, or ahead
+//!                                                             ▼ from all states
 //!                 MatchSink ◄── Joiner (prefix fold, span resolve, filter)
 //! ```
 //!
@@ -42,6 +42,10 @@ pub struct SessionReport {
     /// did. Matches emitted before the failure were delivered; the counts
     /// above cover only the processed prefix.
     pub error: Option<String>,
+    /// The session's last measured R: speculative over in-order nanoseconds
+    /// per byte. Chunks run from all states only while R is below the worker
+    /// count; `None` until a chunk of each kind has run.
+    pub speculation_ratio: Option<f64>,
 }
 
 /// One chunk waiting for an in-flight credit before it can be submitted.
@@ -324,14 +328,13 @@ impl Feeder {
             // pipeline-stall liveness verdict (`expire_idle`): a submission
             // observed there must also carry the chunk state before it.
             self.core.counters.chunks_submitted.fetch_add(1, Ordering::Release);
-            pool.submit(Job {
-                session: Arc::clone(&self.core),
+            let job = Job {
                 engine: chunk.engine,
                 window: chunk.window,
                 range: chunk.range,
                 seq: self.next_seq,
-                first: self.next_seq == 0,
-            });
+            };
+            pool.submit(&self.core, job);
             self.next_seq += 1;
         }
         if self.finish_requested && !self.announced {
@@ -511,6 +514,7 @@ impl JoinerState {
             match_counts: std::mem::take(&mut self.bank.match_counts),
             submatch_counts: std::mem::take(&mut self.bank.submatch_counts),
             error,
+            speculation_ratio: core.speculation_ratio(),
         }
     }
 

@@ -40,6 +40,10 @@ pub(crate) struct Counters {
     pub peak_join_lag: AtomicU64,
     /// Total wall-clock time workers spent transducing this session's chunks.
     pub worker_busy_nanos: AtomicU64,
+    /// Chunks run in order, from their exact entry.
+    pub chunks_in_order: AtomicU64,
+    /// Chunks run from all states.
+    pub chunks_speculative: AtomicU64,
     /// Total time the feeder spent blocked waiting for an in-flight credit
     /// (i.e. backpressure from the joiner / sink).
     pub backpressure_nanos: AtomicU64,
@@ -64,6 +68,8 @@ impl Counters {
             peak_reorder: AtomicUsize::new(0),
             peak_join_lag: AtomicU64::new(0),
             worker_busy_nanos: AtomicU64::new(0),
+            chunks_in_order: AtomicU64::new(0),
+            chunks_speculative: AtomicU64::new(0),
             backpressure_nanos: AtomicU64::new(0),
         }
     }
@@ -101,6 +107,8 @@ impl Counters {
             peak_retained_bytes: self.peak_retained_bytes.load(Ordering::Relaxed),
             peak_reorder_depth: self.peak_reorder.load(Ordering::Relaxed),
             peak_join_lag: self.peak_join_lag.load(Ordering::Relaxed),
+            chunks_in_order: self.chunks_in_order.load(Ordering::Relaxed),
+            chunks_speculative: self.chunks_speculative.load(Ordering::Relaxed),
             worker_busy: Duration::from_nanos(self.worker_busy_nanos.load(Ordering::Relaxed)),
             backpressure_wait: Duration::from_nanos(
                 self.backpressure_nanos.load(Ordering::Relaxed),
@@ -145,6 +153,13 @@ pub struct RuntimeStats {
     /// Peak join lag in chunks (highest completed sequence number minus the
     /// sequence number the joiner was waiting for).
     pub peak_join_lag: u64,
+    /// Chunks run in order: from their exact entry state and stack, on one
+    /// execution path.
+    pub chunks_in_order: u64,
+    /// Chunks run speculatively, from all states (§3.2): ahead of the
+    /// in-order chain on a worker that would otherwise idle, or after the
+    /// real path was lost.
+    pub chunks_speculative: u64,
     /// Total worker wall-clock time spent transducing this session's chunks.
     pub worker_busy: Duration,
     /// Total time the feeder was blocked on backpressure (all in-flight
@@ -202,8 +217,13 @@ pub struct ShardStats {
     /// The largest retention-ring occupancy any one of this shard's sessions
     /// reached.
     pub peak_retained_bytes: usize,
-    /// Peak depth of this shard's worker-pool job queue.
+    /// Peak number of chunks submitted to this shard's worker pool and not
+    /// yet started.
     pub peak_queue_depth: usize,
+    /// Chunks this shard's workers ran in order.
+    pub chunks_in_order: u64,
+    /// Chunks this shard's workers ran speculatively, from all states.
+    pub chunks_speculative: u64,
 }
 
 /// Router-level counters of a sharded server (see

@@ -3,8 +3,8 @@
 //! window sizes — including configurations that put window boundaries inside
 //! tags and chunk boundaries at every awkward offset.
 
-use ppt_core::Engine;
-use ppt_runtime::{CollectSink, OnlineMatch, Runtime};
+use ppt_core::{Engine, QueryResult};
+use ppt_runtime::{CollectSink, OnlineMatch, Runtime, SessionReport};
 use std::io::Read;
 use std::sync::Arc;
 
@@ -27,7 +27,11 @@ impl Read for DribbleReader {
 
 /// Batch result as sortable tuples per query.
 fn batch_matches(engine: &Engine, data: &[u8]) -> Vec<Vec<(usize, usize, u32)>> {
-    let result = engine.run(data);
+    tuples(&engine.run(data))
+}
+
+/// A result as sorted `(start, end, depth)` tuples per query.
+fn tuples(result: &QueryResult) -> Vec<Vec<(usize, usize, u32)>> {
     result
         .query_matches
         .iter()
@@ -294,4 +298,94 @@ fn empty_and_degenerate_streams() {
         .unwrap();
     assert_eq!(report.match_counts, vec![0]);
     assert_eq!(report.stats.bytes_in, 19);
+}
+
+/// Streams `data` through a `workers`-thread runtime, checks its matches
+/// against `expected` whatever mix of in-order and speculative chunks the
+/// pool ran, and returns the report.
+fn assert_streams_as(
+    engine: &Arc<Engine>,
+    data: &[u8],
+    expected: &[Vec<(usize, usize, u32)>],
+    workers: usize,
+    label: &str,
+) -> SessionReport {
+    let runtime = Runtime::builder().workers(workers).build();
+    let mut sink = CollectSink::new();
+    let report = runtime.process_reader(Arc::clone(engine), data, &mut sink).unwrap();
+    let chunk = engine.config().chunk_size;
+    assert_eq!(
+        online_matches(&sink, expected.len()),
+        expected,
+        "{label}: chunk={chunk} workers={workers} differs from the reference"
+    );
+    let stats = &report.stats;
+    assert_eq!(stats.chunks_in_order + stats.chunks_speculative, stats.chunks, "{label}: modes");
+    report
+}
+
+fn engine_with(queries: &[&str], chunk_size: usize) -> Arc<Engine> {
+    let builder = Engine::builder().add_queries(queries).unwrap();
+    Arc::new(builder.chunk_size(chunk_size).window_size(128 << 10).build().unwrap())
+}
+
+/// The relay runs each session's next chunk in order from its exact entry,
+/// and idle workers run chunks ahead from all states: the mix must report
+/// exactly what `Engine::run_sequential` — the whole stream as one in-order
+/// chunk — reports.
+#[test]
+fn relay_and_speculation_equal_the_sequential_run() {
+    let treebank_queries = ppt_datasets::random_treebank_queries(256, 3, 17);
+    let xpathmark: Vec<&str> = ppt_datasets::xpathmark_queries_strs().into_iter().take(6).collect();
+    let cases: [(&str, Vec<u8>, Vec<&str>); 3] = [
+        ("xmark", ppt_datasets::XmarkConfig::with_target_size(160 << 10).generate(), xpathmark),
+        (
+            "treebank-256q",
+            ppt_datasets::TreebankConfig::with_target_size(160 << 10).generate(),
+            treebank_queries.iter().map(String::as_str).collect(),
+        ),
+        (
+            "twitter",
+            ppt_datasets::TwitterConfig::with_target_size(160 << 10).generate(),
+            vec![ppt_datasets::twitter_query(), "//status", "//retweeted_status//text"],
+        ),
+    ];
+    for (label, data, queries) in &cases {
+        for chunk_size in [4 << 10, 16 << 10, 64 << 10] {
+            let engine = engine_with(queries, chunk_size);
+            let expected = tuples(&engine.run_sequential(data));
+            for workers in [1, 2, 4] {
+                let report = assert_streams_as(&engine, data, &expected, workers, label);
+                if workers == 1 {
+                    assert_eq!(
+                        report.stats.chunks_speculative, 0,
+                        "{label}: one worker speculated"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Tag soup that underflows mid-stream: stray closes pop below the document
+/// root, so the relay loses the path, the chunk holding the underflow emits
+/// nothing (as its speculative mapping would hold no entry for the path), and
+/// every later chunk runs from all states — still identical to the batch
+/// engine at the same chunk size.
+#[test]
+fn a_path_lost_mid_stream_hands_over_to_speculation() {
+    let item = |i: usize| format!("<item><k>{i}</k><pad>{}</pad></item>", "x".repeat(40));
+    let mut doc = b"<s>".to_vec();
+    (0..200).for_each(|i| doc.extend_from_slice(item(i).as_bytes()));
+    doc.extend_from_slice(b"</s></x></y>");
+    (200..400).for_each(|i| doc.extend_from_slice(item(i).as_bytes()));
+    let engine = engine_with(&["//item/k", "/s/item"], 4 << 10);
+    let expected = batch_matches(&engine, &doc);
+    let before_loss = expected[0].len();
+    assert!(before_loss > 100 && before_loss < 200, "{before_loss} matches before the loss");
+    for workers in [1, 2, 4] {
+        let report = assert_streams_as(&engine, &doc, &expected, workers, "underflow");
+        assert!(report.stats.chunks_in_order > 0, "the relay ran the prefix in order");
+        assert!(report.stats.chunks_speculative > 0, "chunks past the loss ran from all states");
+    }
 }

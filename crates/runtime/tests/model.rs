@@ -24,7 +24,12 @@
 //! - the `delivering`-flag drop-accounting race between the joiner panic
 //!   path and the session guard (`crates/runtime/src/session.rs` /
 //!   `crates/runtime/src/reactor.rs`) — exactly one side accounts the
-//!   in-flight delivery.
+//!   in-flight delivery;
+//! - the relay hand-off of the worker pool (`crates/runtime/src/pool.rs`):
+//!   a worker that finishes a session's in-order chunk publishes its exit
+//!   and carries on with the next chunk itself, racing the feeder's submits,
+//!   a poisoning and the pool's shutdown — no chunk runs twice or out of
+//!   order, and no wake-up is lost (three "teeth" variants each drop one).
 //!
 //! Every exhaustive run also asserts a floor on the number of interleavings
 //! actually explored, so a future refactor cannot quietly shrink the state
@@ -995,6 +1000,410 @@ fn delivering_flag_accounts_exactly_once() {
     let explored = explore(&mut m, usize::MAX);
     assert_eq!(explored.max_depth, 4);
     assert!(explored.executions >= 2, "both orders must be explored");
+}
+
+// ---------------------------------------------------------------------------
+// Model: the relay hand-off of the worker pool (pool.rs)
+// ---------------------------------------------------------------------------
+//
+// Mirrors crates/runtime/src/pool.rs for one session on two workers. The
+// feeder's `SessionCore::enqueue` claims a submitted chunk when it is the
+// relay's next, and `PoolShared::dispatch` queues the claimed head and wakes
+// one worker; a worker's `next_task` pops a head or waits on `work_ready`;
+// after running a head, `SessionCore::complete` publishes its exit, delivers
+// it, and claims the relay's next chunk, which the worker runs itself — no
+// queue, no wake. The joiner (`wait_for`) takes the chunks in order, then
+// drops the pool (`WorkerPool::drop`). A poisoner (`SessionCore::poison`)
+// races all of it. Speculation is left out: it only takes chunks the relay
+// has not claimed, and the relay passes their outputs in the critical
+// section that delivers them. The joiner drops the pool only once the feed is
+// over: the runtime that owns the pool outlives its sessions' feeders.
+
+const RELAY_CHUNKS: usize = 3;
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum RelayBug {
+    None,
+    /// `dispatch` queues a head without waking a worker.
+    DropWake,
+    /// `complete` publishes the exit but does not claim the next chunk.
+    NoCarry,
+    /// `WorkerPool::drop` sets `shutdown` without the queue lock.
+    UnlockedShutdown,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum FeederPc {
+    Enqueue,
+    /// Queue the claimed head and wake a worker.
+    Dispatch(usize),
+    Done,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum WorkerPc {
+    /// `next_task`: take the queue lock.
+    Lock,
+    /// Holding the queue lock: pop a head, see the shutdown, or go to wait.
+    Check,
+    /// Holding the queue lock: park on `work_ready`.
+    Wait,
+    Parked,
+    /// Transduce the chunk, outside any lock.
+    Run(usize),
+    /// `complete`: publish the exit, deliver, claim the next head.
+    Complete(usize),
+    Done,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum JoinerPc {
+    Take,
+    Parked,
+    /// `WorkerPool::drop`: set `shutdown`.
+    Shutdown,
+    /// `WorkerPool::drop`: `work_ready.notify_all()`.
+    Notify,
+    Done,
+}
+
+const FEEDER: usize = 0;
+const JOINER: usize = 3;
+const POISONER: usize = 4;
+
+struct RelayModel {
+    bug: RelayBug,
+    poisoner: bool,
+    mailbox: MiniLock,
+    queue: MiniLock,
+    // Mailbox state.
+    waiting: VecDeque<usize>,
+    relay_next: usize,
+    delivered: Vec<bool>,
+    poisoned: bool,
+    // Pool state.
+    heads: VecDeque<usize>,
+    shutdown: bool,
+    // Threads.
+    feeder: FeederPc,
+    submitted: usize,
+    workers: [WorkerPc; 2],
+    joiner: JoinerPc,
+    taken: usize,
+    poisoner_done: bool,
+    runs: Vec<u32>,
+    /// Accumulated across executions: the paths the test means to cover.
+    ever_carried: bool,
+    ever_woken: bool,
+    ever_poisoned_mid_stream: bool,
+}
+
+impl RelayModel {
+    fn new(bug: RelayBug, poisoner: bool) -> RelayModel {
+        RelayModel {
+            bug,
+            poisoner,
+            mailbox: MiniLock::default(),
+            queue: MiniLock::default(),
+            waiting: VecDeque::new(),
+            relay_next: 0,
+            delivered: Vec::new(),
+            poisoned: false,
+            heads: VecDeque::new(),
+            shutdown: false,
+            feeder: FeederPc::Enqueue,
+            submitted: 0,
+            workers: [WorkerPc::Lock; 2],
+            joiner: JoinerPc::Take,
+            taken: 0,
+            poisoner_done: false,
+            runs: Vec::new(),
+            ever_carried: false,
+            ever_woken: false,
+            ever_poisoned_mid_stream: false,
+        }
+    }
+
+    /// pool.rs `Mailbox::claim_head`: the relay's chunk, if it is waiting.
+    fn claim_head(&mut self) -> Option<usize> {
+        if self.poisoned || self.waiting.front() != Some(&self.relay_next) {
+            return None;
+        }
+        self.waiting.pop_front()
+    }
+
+    /// pool.rs `SessionCore::wait_for`, one pass under the mailbox lock.
+    fn joiner_check(&mut self) {
+        if self.taken < RELAY_CHUNKS && self.delivered[self.taken] {
+            self.taken += 1;
+            self.mailbox.unlock(JOINER);
+        } else if self.poisoned || self.taken == RELAY_CHUNKS {
+            self.mailbox.unlock(JOINER);
+            self.joiner = JoinerPc::Shutdown;
+        } else {
+            self.mailbox.wait(JOINER);
+            self.joiner = JoinerPc::Parked;
+        }
+    }
+
+    fn step_worker(&mut self, w: usize, tid: usize) {
+        self.workers[w] = match self.workers[w] {
+            WorkerPc::Lock => {
+                self.queue.acquire(tid);
+                WorkerPc::Check
+            }
+            WorkerPc::Parked => {
+                self.queue.acquire(tid);
+                self.ever_woken = true;
+                WorkerPc::Check
+            }
+            WorkerPc::Check => {
+                // pool.rs `next_task`: heads first, then the shutdown flag.
+                if let Some(seq) = self.heads.pop_front() {
+                    self.queue.unlock(tid);
+                    WorkerPc::Run(seq)
+                } else if self.shutdown {
+                    self.queue.unlock(tid);
+                    WorkerPc::Done
+                } else {
+                    WorkerPc::Wait
+                }
+            }
+            WorkerPc::Wait => {
+                self.queue.wait(tid);
+                WorkerPc::Parked
+            }
+            WorkerPc::Run(seq) => {
+                // pool.rs `PoolShared::run`: a dead session's chunk is dropped.
+                if self.poisoned {
+                    WorkerPc::Lock
+                } else {
+                    assert_eq!(self.relay_next, seq, "chunk {seq} ran before its predecessor");
+                    self.runs[seq] += 1;
+                    WorkerPc::Complete(seq)
+                }
+            }
+            WorkerPc::Complete(seq) => {
+                self.mailbox.acquire(tid);
+                self.relay_next = seq + 1;
+                self.delivered[seq] = true;
+                let next = if self.bug == RelayBug::NoCarry { None } else { self.claim_head() };
+                self.mailbox.notify_all();
+                self.mailbox.unlock(tid);
+                // pool.rs `dispatch(worker = true)`: no other session's head
+                // is queued, so the worker carries the claimed head itself.
+                match next {
+                    Some(next) => {
+                        self.ever_carried = true;
+                        WorkerPc::Run(next)
+                    }
+                    None => WorkerPc::Lock,
+                }
+            }
+            WorkerPc::Done => unreachable!("stepped a finished worker"),
+        };
+    }
+
+    /// Chunks the relay holds: claimed by the feeder, queued, or on a worker.
+    fn in_hand(&self) -> usize {
+        let feeder = usize::from(matches!(self.feeder, FeederPc::Dispatch(_)));
+        let on_workers = self
+            .workers
+            .iter()
+            .filter(|pc| matches!(pc, WorkerPc::Run(_) | WorkerPc::Complete(_)))
+            .count();
+        feeder + self.heads.len() + on_workers
+    }
+}
+
+impl Model for RelayModel {
+    fn reset(&mut self) {
+        self.mailbox.reset();
+        self.queue.reset();
+        self.waiting.clear();
+        self.relay_next = 0;
+        self.delivered = vec![false; RELAY_CHUNKS];
+        self.poisoned = false;
+        self.heads.clear();
+        self.shutdown = false;
+        self.feeder = FeederPc::Enqueue;
+        self.submitted = 0;
+        self.workers = [WorkerPc::Lock; 2];
+        self.joiner = JoinerPc::Take;
+        self.taken = 0;
+        self.poisoner_done = !self.poisoner;
+        self.runs = vec![0; RELAY_CHUNKS];
+    }
+
+    fn thread_count(&self) -> usize {
+        if self.poisoner {
+            5
+        } else {
+            4
+        }
+    }
+
+    fn is_done(&self, tid: usize) -> bool {
+        match tid {
+            FEEDER => self.feeder == FeederPc::Done,
+            JOINER => self.joiner == JoinerPc::Done,
+            POISONER => self.poisoner_done,
+            w => self.workers[w - 1] == WorkerPc::Done,
+        }
+    }
+
+    fn is_enabled(&self, tid: usize) -> bool {
+        match tid {
+            FEEDER => match self.feeder {
+                FeederPc::Enqueue => self.mailbox.acquirable(tid),
+                FeederPc::Dispatch(_) => self.queue.acquirable(tid),
+                FeederPc::Done => false,
+            },
+            JOINER => match self.joiner {
+                JoinerPc::Take => self.mailbox.acquirable(tid),
+                JoinerPc::Parked => self.mailbox.rewakeable(tid),
+                // The runtime that owns the pool outlives the session's feed.
+                JoinerPc::Shutdown => {
+                    self.feeder == FeederPc::Done
+                        && (self.bug == RelayBug::UnlockedShutdown || self.queue.acquirable(tid))
+                }
+                JoinerPc::Notify => true,
+                JoinerPc::Done => false,
+            },
+            POISONER => self.mailbox.acquirable(tid),
+            w => match self.workers[w - 1] {
+                WorkerPc::Lock => self.queue.acquirable(tid),
+                WorkerPc::Parked => self.queue.rewakeable(tid),
+                WorkerPc::Check | WorkerPc::Wait => self.queue.holder == Some(tid),
+                WorkerPc::Run(_) => true,
+                WorkerPc::Complete(_) => self.mailbox.acquirable(tid),
+                WorkerPc::Done => false,
+            },
+        }
+    }
+
+    fn step(&mut self, tid: usize) {
+        match tid {
+            FEEDER => {
+                let more = |submitted| {
+                    if submitted < RELAY_CHUNKS {
+                        FeederPc::Enqueue
+                    } else {
+                        FeederPc::Done
+                    }
+                };
+                self.feeder = match self.feeder {
+                    FeederPc::Enqueue => {
+                        // pool.rs `SessionCore::enqueue`.
+                        self.mailbox.acquire(tid);
+                        let mut claimed = None;
+                        if !self.poisoned {
+                            self.waiting.push_back(self.submitted);
+                            claimed = self.claim_head();
+                        }
+                        self.mailbox.unlock(tid);
+                        self.submitted += 1;
+                        claimed.map_or(more(self.submitted), FeederPc::Dispatch)
+                    }
+                    FeederPc::Dispatch(seq) => {
+                        // pool.rs `PoolShared::dispatch(worker = false)`.
+                        self.queue.acquire(tid);
+                        self.heads.push_back(seq);
+                        self.queue.unlock(tid);
+                        if self.bug != RelayBug::DropWake {
+                            self.queue.notify_one();
+                        }
+                        more(self.submitted)
+                    }
+                    FeederPc::Done => unreachable!("stepped a finished feeder"),
+                };
+            }
+            JOINER => match self.joiner {
+                JoinerPc::Take | JoinerPc::Parked => {
+                    self.mailbox.acquire(tid);
+                    self.joiner = JoinerPc::Take;
+                    self.joiner_check();
+                }
+                JoinerPc::Shutdown => {
+                    if self.bug == RelayBug::UnlockedShutdown {
+                        self.shutdown = true;
+                    } else {
+                        self.queue.acquire(tid);
+                        self.shutdown = true;
+                        self.queue.unlock(tid);
+                    }
+                    self.joiner = JoinerPc::Notify;
+                }
+                JoinerPc::Notify => {
+                    self.queue.notify_all();
+                    self.joiner = JoinerPc::Done;
+                }
+                JoinerPc::Done => unreachable!("stepped a finished joiner"),
+            },
+            POISONER => {
+                // pool.rs `SessionCore::poison`.
+                self.mailbox.acquire(tid);
+                let delivered = self.delivered.iter().filter(|&&d| d).count();
+                self.ever_poisoned_mid_stream |= delivered > 0 && delivered < RELAY_CHUNKS;
+                self.poisoned = true;
+                self.waiting.clear();
+                self.mailbox.notify_all();
+                self.mailbox.unlock(tid);
+                self.poisoner_done = true;
+            }
+            w => self.step_worker(w - 1, tid),
+        }
+    }
+
+    fn check(&self) {
+        for (seq, &n) in self.runs.iter().enumerate() {
+            assert!(n <= 1, "chunk {seq} ran {n} times");
+        }
+        assert!(self.in_hand() <= 1, "two of the session's chunks held at once");
+    }
+
+    fn at_end(&self) {
+        assert!(self.heads.is_empty(), "a queued head outlived the pool");
+        if !self.poisoned {
+            assert_eq!(self.taken, RELAY_CHUNKS, "the joiner missed a chunk");
+            assert!(self.runs.iter().all(|&n| n == 1), "a chunk never ran: {:?}", self.runs);
+        }
+    }
+}
+
+/// The relay hand-off racing the feeder's submits, a poisoning and the
+/// pool's shutdown, under a one-preemption bound (~37k interleavings): every
+/// chunk runs once and in order, the session never wedges (the explorer's
+/// deadlock check) and the carry, the wait/wake and the mid-stream poisoning
+/// paths are all exercised.
+#[test]
+fn relay_hand_off_runs_every_chunk_once_in_order() {
+    let mut m = RelayModel::new(RelayBug::None, true);
+    let explored = explore(&mut m, 1);
+    assert!(m.ever_carried, "no schedule carried a chunk on the finishing worker");
+    assert!(m.ever_woken, "no schedule parked a worker and woke it");
+    assert!(m.ever_poisoned_mid_stream, "no schedule poisoned the session mid-stream");
+    assert!(
+        explored.executions >= 1000,
+        "state space collapsed: only {} interleavings",
+        explored.executions
+    );
+}
+
+/// Teeth: each variant drops one wake the relay relies on — the feeder's
+/// notify, the finishing worker's claim of the next chunk, the shutdown
+/// under the queue lock — and the explorer must find the wedge.
+#[test]
+fn relay_without_its_wakes_is_caught() {
+    for bug in [RelayBug::DropWake, RelayBug::NoCarry, RelayBug::UnlockedShutdown] {
+        let mut m = RelayModel::new(bug, false);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            explore(&mut m, 1);
+        }));
+        let panic = caught.expect_err("a dropped wake survived every interleaving");
+        let message = panic.downcast_ref::<String>().map_or("", String::as_str);
+        assert!(message.starts_with("deadlock"), "{bug:?} caught as {message:?}, not a wedge");
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@
 //! it touched them.
 
 use ppt_core::Engine;
-use ppt_runtime::{CollectSink, MatchSink, OnlineMatch, Runtime};
+use ppt_runtime::{CollectSink, MatchSink, OnlineMatch, Runtime, SessionOptions};
 use std::sync::Arc;
 
 fn make_doc(items: usize) -> Vec<u8> {
@@ -116,4 +116,47 @@ fn a_poisoned_push_session_reports_the_failure_and_frees_the_handle() {
     let mut sink = CollectSink::new();
     let report = runtime.process_reader(engine, &doc[..], &mut sink).unwrap();
     assert_eq!(report.match_counts, vec![200]);
+}
+
+/// A worker that panics while running a session's chunk in order — holding
+/// the relay's exact entry — poisons exactly that session: the chunks before
+/// it ran and nothing after it does, while a concurrent session on the same
+/// single worker runs to completion.
+#[test]
+fn a_worker_panic_in_an_in_order_chunk_poisons_only_its_session() {
+    let doc = make_doc(500);
+    let engine = make_engine();
+    let expected = engine.run(&doc).match_count(0);
+    // One worker: every chunk runs in order, from the relay.
+    let runtime = Runtime::builder().workers(1).inflight_chunks(4).build();
+
+    let (failed, healthy) = std::thread::scope(|scope| {
+        let failed = scope.spawn(|| {
+            let opts = SessionOptions { panic_on_chunk: Some(3), ..SessionOptions::new() };
+            let sink = Box::new(CollectSink::new());
+            let mut session = runtime.open_session_with(Arc::clone(&engine), &opts, sink);
+            session.feed(&doc);
+            session.finish().0
+        });
+        let healthy = scope.spawn(|| {
+            let mut sink = CollectSink::new();
+            runtime.process_reader(Arc::clone(&engine), &doc[..], &mut sink).unwrap()
+        });
+        (failed.join().unwrap(), healthy.join().unwrap())
+    });
+
+    let error = failed.error.expect("the session is poisoned");
+    assert!(error.contains("injected fault on chunk 3"), "{error}");
+    assert_eq!(failed.stats.chunks_in_order, 3, "chunks 0..3 ran, nothing after the panic");
+    assert_eq!(failed.stats.chunks_speculative, 0);
+    assert!(failed.match_counts[0] < expected);
+
+    assert!(healthy.error.is_none());
+    assert_eq!(healthy.match_counts, vec![expected]);
+    assert_eq!(healthy.stats.chunks_in_order, healthy.stats.chunks);
+
+    // The worker survived its panic.
+    let mut sink = CollectSink::new();
+    let report = runtime.process_reader(engine, &doc[..], &mut sink).unwrap();
+    assert_eq!(report.match_counts, vec![expected]);
 }

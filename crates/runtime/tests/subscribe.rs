@@ -193,6 +193,59 @@ fn mid_stream_attach_sees_exactly_the_suffix() {
     assert_eq!(report.match_counts, vec![got.len()]);
 }
 
+/// `Engine::run_sequential` — the whole stream as one in-order chunk — in
+/// the shape of [`independent`].
+fn sequential(data: &[u8], queries: &[&str]) -> PerQuery {
+    let engine = Engine::builder().add_queries(queries).unwrap().build().unwrap();
+    let result = engine.run_sequential(data);
+    let per_query = result.query_matches.iter().map(|ms| {
+        let mut v: Vec<_> =
+            ms.iter().map(|m| (m.start, m.end, Some(data[m.start..m.end].to_vec()))).collect();
+        v.sort_unstable();
+        v
+    });
+    per_query.collect()
+}
+
+/// A late attach swaps the engine mid-stream while the relay is carrying the
+/// session's chunks in order. The relay crosses the swap the way the joiner
+/// does — replaying the open-tag path into the merged transducer — so on one
+/// worker no chunk ever runs from all states, and on any worker count the
+/// first subscriber sees exactly the sequential run and the late one a
+/// suffix of it.
+#[test]
+fn a_late_attach_swaps_the_engine_under_the_relay() {
+    let data = TreebankConfig::with_target_size(128 << 10).generate();
+    let split = data.len() / 2;
+    let full = sequential(&data, &["//vp/vb"]).remove(0);
+    for workers in [1, 2, 4] {
+        let runtime = Runtime::builder().workers(workers).build();
+        let first = CollectSubscriber::new();
+        let (m0, _) = first.handles();
+        let mut handle = runtime
+            .open_shared_stream(&opts(), config(), BUDGET, &["//np//nn"], Box::new(first))
+            .unwrap();
+        let control = handle.control();
+        handle.feed(&data[..split]);
+        let late = CollectSubscriber::new();
+        let (m1, _) = late.handles();
+        control.attach(&["//vp/vb"], Box::new(late)).unwrap();
+        handle.feed(&data[split..]);
+        let report = handle.finish();
+        assert!(report.error.is_none());
+
+        assert_eq!(collected(&m0, 1), sequential(&data, &["//np//nn"]), "workers={workers}");
+        let got = collected(&m1, 1).remove(0);
+        let mut iter = full.iter();
+        assert!(got.iter().all(|m| iter.any(|f| f == m)), "workers={workers}: not a suffix");
+        assert!(full.iter().filter(|m| m.0 >= split).all(|m| got.contains(m)));
+        assert!(report.stats.chunks_in_order > 0, "workers={workers}: the relay never ran");
+        if workers == 1 {
+            assert_eq!(report.stats.chunks_speculative, 0, "the swap lost the relay's path");
+        }
+    }
+}
+
 #[test]
 fn covered_query_attach_is_attribution_only() {
     let data = TreebankConfig::with_target_size(96 << 10).generate();
