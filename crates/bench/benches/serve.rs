@@ -1,11 +1,11 @@
-//! Serving-path scaling: reactor vs thread-per-connection throughput as the
-//! connection count grows (1 / 8 / 64 concurrent clients over loopback,
-//! binary framing, retention on).
+//! Serving-path scaling: server throughput as the connection count grows
+//! (1 / 8 / 64 concurrent clients over loopback, binary framing, retention
+//! on), plus one large-payload point.
 //!
 //! Each measurement streams the same XMark document over every connection
 //! concurrently and counts the frames served, so the bench gate can catch
-//! both throughput regressions and match-count drift in either serving
-//! mode.
+//! both throughput regressions and match-count drift. Rows keep the
+//! `"reactor"` mode name the committed baseline is keyed by.
 //!
 //! ```sh
 //! cargo bench -p ppt-bench --bench serve
@@ -15,7 +15,7 @@
 
 use criterion::{BenchmarkId, Criterion, Throughput};
 use ppt_runtime::serve::{register, TcpServer};
-use ppt_runtime::{FrameDecoder, HandshakeRequest, Runtime, ServerMode, WireFormat};
+use ppt_runtime::{FrameDecoder, HandshakeRequest, Runtime, WireFormat};
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::Arc;
@@ -24,10 +24,9 @@ use std::time::Instant;
 const CONN_SWEEP: [usize; 3] = [1, 8, 64];
 const RETAIN_BUDGET: u64 = 1 << 20;
 /// The large-payload point: 64 elements of 256 KiB each — every frame
-/// carries a ≥ 64 KiB payload, so the reactor's zero-copy vectored egress
-/// is measured against the thread mode's copying writes end-to-end. 16 MiB
-/// per pass keeps a single measurement long enough to be stable under the
-/// gate.
+/// carries a ≥ 64 KiB payload, so the zero-copy vectored egress is measured
+/// end-to-end. 16 MiB per pass keeps a single measurement long enough to be
+/// stable under the gate.
 const LARGE_ELEMS: usize = 64;
 const LARGE_ELEM_BYTES: usize = 256 << 10;
 
@@ -47,21 +46,9 @@ fn queries() -> Vec<String> {
     ppt_datasets::xpathmark_queries().iter().take(2).map(|(_, q)| q.to_string()).collect()
 }
 
-/// The serving modes under comparison. `Reactor` silently falls back to
-/// thread-per-connection off Unix, which would make the comparison
-/// meaningless — hence the cfg.
-fn modes() -> Vec<(&'static str, ServerMode)> {
-    let mut modes = vec![("thread", ServerMode::ThreadPerConn)];
-    if cfg!(unix) {
-        modes.push(("reactor", ServerMode::Reactor));
-    }
-    modes
-}
-
-fn bind_server(mode: ServerMode, conns: usize) -> TcpServer {
+fn bind_server(conns: usize) -> TcpServer {
     let runtime = Arc::new(Runtime::builder().workers(2).inflight_chunks(8).build());
     TcpServer::builder()
-        .mode(mode)
         .max_connections(conns)
         .chunk_size(64 << 10)
         .window_size(256 << 10)
@@ -128,28 +115,24 @@ fn bench_serve(c: &mut Criterion) {
     let mut group = c.benchmark_group("serve");
     group.sample_size(10);
     group.measurement_time(std::time::Duration::from_secs(3));
-    for (name, mode) in modes() {
-        for conns in CONN_SWEEP {
-            let server = bind_server(mode, conns);
-            let addr = server.local_addr();
-            group.throughput(Throughput::Bytes((doc.len() * conns) as u64));
-            group.bench_with_input(BenchmarkId::new(name, conns), &doc, |b, doc| {
-                b.iter(|| run_storm(addr, conns, &queries, doc))
-            });
-            drop(server);
-        }
+    for conns in CONN_SWEEP {
+        let server = bind_server(conns);
+        let addr = server.local_addr();
+        group.throughput(Throughput::Bytes((doc.len() * conns) as u64));
+        group.bench_with_input(BenchmarkId::new("reactor", conns), &doc, |b, doc| {
+            b.iter(|| run_storm(addr, conns, &queries, doc))
+        });
+        drop(server);
     }
     let large = large_dataset();
     let large_queries = large_queries();
     group.throughput(Throughput::Bytes(large.len() as u64));
-    for (name, mode) in modes() {
-        let server = bind_server(mode, 1);
-        let addr = server.local_addr();
-        group.bench_with_input(BenchmarkId::new(&format!("{name}-large"), 1), &large, |b, doc| {
-            b.iter(|| run_storm(addr, 1, &large_queries, doc))
-        });
-        drop(server);
-    }
+    let server = bind_server(1);
+    let addr = server.local_addr();
+    group.bench_with_input(BenchmarkId::new("reactor-large", 1), &large, |b, doc| {
+        b.iter(|| run_storm(addr, 1, &large_queries, doc))
+    });
+    drop(server);
     group.finish();
 }
 
@@ -161,49 +144,44 @@ fn write_baseline(path: &str) {
     let queries = queries();
     let iters = 3usize;
     let mut rows = Vec::new();
-    for (name, mode) in modes() {
-        for conns in CONN_SWEEP {
-            let server = bind_server(mode, conns);
-            let addr = server.local_addr();
-            run_storm(addr, conns, &queries, &doc); // warm-up
-            let mib = (doc.len() * conns) as f64 / (1024.0 * 1024.0);
-            let start = Instant::now();
-            let mut matches = 0u64;
-            for _ in 0..iters {
-                matches = run_storm(addr, conns, &queries, &doc);
-            }
-            let secs = start.elapsed().as_secs_f64() / iters as f64;
-            drop(server);
-            rows.push(format!(
-                "    {{\"mode\": \"{name}\", \"conns\": {conns}, \"mib_per_s\": {:.2}, \
-                 \"matches\": {matches}}}",
-                mib / secs
-            ));
-        }
-    }
-    // The large-payload points: one connection, 256 KiB elements. The
-    // reactor row rides the zero-copy vectored outbox; the thread row keeps
-    // the copying write path — the gate guards both.
-    let large = large_dataset();
-    let large_queries = large_queries();
-    let large_mib = large.len() as f64 / (1024.0 * 1024.0);
-    for (name, mode) in modes() {
-        let server = bind_server(mode, 1);
+    for conns in CONN_SWEEP {
+        let server = bind_server(conns);
         let addr = server.local_addr();
-        run_storm(addr, 1, &large_queries, &large); // warm-up
+        run_storm(addr, conns, &queries, &doc); // warm-up
+        let mib = (doc.len() * conns) as f64 / (1024.0 * 1024.0);
         let start = Instant::now();
         let mut matches = 0u64;
         for _ in 0..iters {
-            matches = run_storm(addr, 1, &large_queries, &large);
+            matches = run_storm(addr, conns, &queries, &doc);
         }
         let secs = start.elapsed().as_secs_f64() / iters as f64;
         drop(server);
         rows.push(format!(
-            "    {{\"mode\": \"{name}-large\", \"conns\": 1, \"mib_per_s\": {:.2}, \
+            "    {{\"mode\": \"reactor\", \"conns\": {conns}, \"mib_per_s\": {:.2}, \
              \"matches\": {matches}}}",
-            large_mib / secs
+            mib / secs
         ));
     }
+    // The large-payload point: one connection, 256 KiB elements, riding the
+    // zero-copy vectored outbox.
+    let large = large_dataset();
+    let large_queries = large_queries();
+    let large_mib = large.len() as f64 / (1024.0 * 1024.0);
+    let server = bind_server(1);
+    let addr = server.local_addr();
+    run_storm(addr, 1, &large_queries, &large); // warm-up
+    let start = Instant::now();
+    let mut matches = 0u64;
+    for _ in 0..iters {
+        matches = run_storm(addr, 1, &large_queries, &large);
+    }
+    let secs = start.elapsed().as_secs_f64() / iters as f64;
+    drop(server);
+    rows.push(format!(
+        "    {{\"mode\": \"reactor-large\", \"conns\": 1, \"mib_per_s\": {:.2}, \
+         \"matches\": {matches}}}",
+        large_mib / secs
+    ));
     let json = format!(
         "{{\n  \"bench\": \"serve\",\n  \"dataset\": \"xmark\",\n  \"dataset_bytes\": {},\n  \
          \"large_dataset\": \"large_elements({LARGE_ELEMS}, {LARGE_ELEM_BYTES})\",\n  \

@@ -1,5 +1,5 @@
 //! Shard scaling: serving throughput at 1 / 2 / 4 shards under 64
-//! concurrent connections (reactor mode, binary framing, retention on).
+//! concurrent connections (binary framing, retention on).
 //!
 //! Every connection registers its own stream id, so the consistent-hash
 //! ring spreads the 64 sessions over the shards; each measurement counts
@@ -16,7 +16,7 @@
 
 use criterion::{BenchmarkId, Criterion, Throughput};
 use ppt_runtime::serve::{register, TcpServer};
-use ppt_runtime::{FrameDecoder, HandshakeRequest, Runtime, ServerMode, WireFormat};
+use ppt_runtime::{FrameDecoder, HandshakeRequest, Runtime, WireFormat};
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::Arc;
@@ -36,11 +36,8 @@ fn queries() -> Vec<String> {
 
 fn bind_server(shards: usize) -> TcpServer {
     let runtime = Arc::new(Runtime::builder().workers(2).inflight_chunks(8).build());
-    let mut builder = TcpServer::builder()
-        .mode(ServerMode::Reactor)
-        .max_connections(CONNS)
-        .chunk_size(64 << 10)
-        .window_size(256 << 10);
+    let mut builder =
+        TcpServer::builder().max_connections(CONNS).chunk_size(64 << 10).window_size(256 << 10);
     if shards > 1 {
         builder = builder.shards(shards).shard_workers(2);
     }

@@ -80,12 +80,17 @@
 
 mod filters;
 mod pool;
+// TCP serving (the reactor, the server around it, and the shard router it
+// places streams with) needs `poll(2)`, `writev(2)` and nonblocking sockets;
+// the engine and the in-process runtime APIs do not.
 #[cfg(unix)]
 pub mod reactor;
 mod resolver;
 mod retain;
+#[cfg(unix)]
 pub mod serve;
 mod session;
+#[cfg(unix)]
 pub mod shard;
 mod sink;
 mod stats;
@@ -94,10 +99,12 @@ pub mod telemetry;
 pub mod wire;
 
 pub use resolver::{SpanEvent, SpanResolver};
+#[cfg(unix)]
 pub use serve::{
-    ConnectionReport, Registration, ServerMode, ServerStats, ShardSpec, TcpServer, TcpServerBuilder,
+    ConnectionReport, Registration, ServerStats, ShardSpec, TcpServer, TcpServerBuilder,
 };
 pub use session::{SessionHandle, SessionReport};
+#[cfg(unix)]
 pub use shard::{ForwardReport, HashRing, ShardRouter};
 pub use sink::{
     BorrowedMatch, CollectPayloadSink, CollectSink, MatchSink, MaterializedMatch, OnlineMatch,

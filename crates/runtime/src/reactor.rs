@@ -1,14 +1,14 @@
 //! The event-driven ingest layer: one `poll(2)` loop drives every
 //! connection.
 //!
-//! The thread-per-connection front-end ([`crate::serve`]) spends an OS
-//! thread per client because the splitter blocks on `Read`. This module
-//! replaces that layer with a **reactor**: a small fixed set of ingest
-//! threads multiplexes all connections over nonblocking sockets, so one
-//! thread can feed thousands of slow network streams into the shared worker
-//! pool. Everything below the ingest layer — the handshake grammar, the
-//! credit scheme, the retention ring, the wire framing — is reused, not
-//! reimplemented.
+//! This is the engine room of [`crate::serve::TcpServer`]: a **reactor**, a
+//! small fixed set of ingest threads that multiplexes all connections over
+//! nonblocking sockets, so one thread can feed thousands of slow network
+//! streams into the shared worker pool and the thread count is flat in the
+//! number of clients. It owns the sockets — accept, handshake, feeding,
+//! egress — and nothing else: the handshake grammar, the credit scheme, the
+//! retention ring and the wire framing are the same code the in-process
+//! runtime uses.
 //!
 //! ```text
 //!                    ┌────────────── ingest thread (poll loop) ─────────────┐
@@ -37,14 +37,16 @@
 //!   byte cap is parked (`stalled_on_outbox`) until the reactor drains the
 //!   socket below the cap — so a slow client stalls *its own* fold frontier,
 //!   which holds its credits, which pauses its reads: backpressure
-//!   propagates through the retention ring exactly as in the blocking path.
+//!   propagates through the retention ring exactly as in the in-process
+//!   pipeline.
 //! * **Dependency-free.** `poll(2)` and `eventfd(2)` are declared directly
 //!   via `extern "C"` (the same offline-shim spirit as `shims/`): no
 //!   crates.io, no async runtime. On non-Linux Unix the wake-up fd falls
 //!   back to a loopback `UdpSocket` pair — same poll semantics, std only.
 //!
-//! The public surface stays [`crate::serve::TcpServer`]; this module is the
-//! engine room behind [`crate::serve::ServerMode::Reactor`].
+//! The public surface is [`crate::serve::TcpServer`] and its builder; the
+//! event loop's own accounting surfaces as [`ReactorStats`] in the server's
+//! stats.
 
 use crate::pool::{lock_recover, panic_message, SessionCore, SessionEvents, TryTake, WorkerPool};
 use crate::serve::{ConnectionReport, ServeTelemetry, Shared};
@@ -55,7 +57,10 @@ use crate::subscribe::{
     shared_stream_parts, AttachError, FanoutSink, StreamControl, SubscriberDelivery, SubscriberId,
     SubscriberReport, SubscriberSink,
 };
-use crate::wire::{FrameRef, FrameWrite, HandshakeDecoder, HandshakeReply, WireFormat, WireSink};
+use crate::wire::{
+    FrameRef, FrameWrite, HandshakeDecoder, HandshakeReply, WireFormat, WireSink,
+    DEFAULT_MAX_HANDSHAKE_LINE,
+};
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -71,17 +76,17 @@ use std::time::Instant;
 /// `struct pollfd` — identical layout on every supported Unix.
 #[repr(C)]
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct PollFd {
+struct PollFd {
     pub fd: RawFd,
     pub events: i16,
     pub revents: i16,
 }
 
-pub(crate) const POLLIN: i16 = 0x001;
-pub(crate) const POLLOUT: i16 = 0x004;
-pub(crate) const POLLERR: i16 = 0x008;
-pub(crate) const POLLHUP: i16 = 0x010;
-pub(crate) const POLLNVAL: i16 = 0x020;
+const POLLIN: i16 = 0x001;
+const POLLOUT: i16 = 0x004;
+const POLLERR: i16 = 0x008;
+const POLLHUP: i16 = 0x010;
+const POLLNVAL: i16 = 0x020;
 
 #[cfg(target_os = "linux")]
 type NfdsT = std::ffi::c_ulong;
@@ -112,7 +117,7 @@ extern "C" {
 /// Blocks in `poll(2)` until a registered fd is ready or `timeout_ms`
 /// elapses (`-1` = forever). Returns the number of ready fds; retries
 /// `EINTR` internally.
-pub(crate) fn poll_fds(fds: &mut [PollFd], timeout_ms: i32) -> std::io::Result<usize> {
+fn poll_fds(fds: &mut [PollFd], timeout_ms: i32) -> std::io::Result<usize> {
     loop {
         // SAFETY: `fds` is a valid, exclusively borrowed slice of `pollfd`-
         // layout structs; the kernel writes only the `revents` fields.
@@ -132,7 +137,7 @@ pub(crate) fn poll_fds(fds: &mut [PollFd], timeout_ms: i32) -> std::io::Result<u
 /// A cross-thread wake-up fd for the poll loop: `wake()` from any thread
 /// makes the fd readable, `drain()` resets it. `eventfd(2)` on Linux, a
 /// connected loopback UDP pair elsewhere.
-pub(crate) struct WakeFd {
+struct WakeFd {
     #[cfg(target_os = "linux")]
     event: std::fs::File,
     #[cfg(not(target_os = "linux"))]
@@ -267,9 +272,8 @@ impl ReactorCounters {
 /// credits, which is the backpressure path. The one larger excursion is the
 /// end-of-stream flush (matches buffered in unclosed predicate scopes are
 /// emitted in a single `finalize`), whose size is bounded by the filter
-/// bank's buffered matches — state the session already holds in *both*
-/// serving modes, so the flush adds one bounded copy, not a new unbounded
-/// class.
+/// bank's buffered matches — state the session already holds, so the flush
+/// adds one bounded copy, not a new unbounded class.
 #[derive(Debug)]
 pub(crate) struct OutboxShared {
     buf: Mutex<OutboxBuf>,
@@ -577,8 +581,7 @@ impl FrameWrite for OutboxWriter {
 // ---------------------------------------------------------------------------
 
 /// What a connection's accounting needs back from its boxed-away subscriber
-/// sink once the stream ends (the reactor twin of the blocking mode's
-/// `OwnerDone`).
+/// sink once the stream ends.
 #[derive(Default)]
 struct SinkDone {
     frames: u64,
@@ -673,10 +676,9 @@ pub(crate) struct JoinTask {
 struct JoinTaskInner {
     /// `None` once finalized.
     state: Option<JoinerState>,
-    /// Every reactor stream is a shared stream (exactly as in the blocking
-    /// mode): the joiner fans matches out through the subscription layer,
-    /// and the owner connection is subscriber 0 with a lossless
-    /// outbox-writing sink.
+    /// Every served stream is a shared stream: the joiner fans matches out
+    /// through the subscription layer, and the owner connection is
+    /// subscriber 0 with a lossless outbox-writing sink.
     sink: Materializer<FanoutSink>,
     /// The stream's control half — finalizing must flush every subscriber's
     /// report through [`StreamControl::finish_stream`].
@@ -1054,10 +1056,9 @@ impl ReactorHandles {
 pub(crate) fn spawn(shared: Arc<Shared>, listener: TcpListener) -> std::io::Result<ReactorHandles> {
     listener.set_nonblocking(true)?;
     let ingest = shared.config.ingest_threads.max(1);
-    let counters = Arc::new(ReactorCounters::default());
     // Every scrape surface reads the event-loop counters through `Shared` —
     // one source of truth with `TcpServer::stats`.
-    shared.set_reactor_counters(Arc::clone(&counters));
+    let counters = Arc::clone(&shared.reactor_counters);
     // One join pool per shard: a slow fold on one shard never steals the
     // executor threads of another.
     let join_pools: Vec<JoinPool> = (0..shared.router.shard_count())
@@ -1159,9 +1160,9 @@ impl Reactor {
             pollfds.push(PollFd { fd: self.wake().raw_fd(), events: POLLIN, revents: 0 });
             tokens.push(Token::Wake);
             if let Some(listener) = &self.listener {
-                // Admission gate before accept, as in the blocking mode:
-                // with no free slot the listener leaves the poll set and
-                // pending clients queue in the kernel backlog.
+                // Admission gate before accept: with no free slot the
+                // listener leaves the poll set and pending clients queue in
+                // the kernel backlog.
                 if self.shared.gate.available() > 0 {
                     pollfds.push(PollFd { fd: listener.as_raw_fd(), events: POLLIN, revents: 0 });
                     tokens.push(Token::Listener);
@@ -1330,7 +1331,7 @@ impl Reactor {
             stream,
             peer,
             phase: Phase::Handshaking {
-                decoder: HandshakeDecoder::with_limits(cfg.max_handshake_line, cfg.max_queries),
+                decoder: HandshakeDecoder::with_limits(DEFAULT_MAX_HANDSHAKE_LINE, cfg.max_queries),
                 deadline: cfg.handshake_timeout.map(|t| Instant::now() + t),
             },
             outbox: OutboxShared::new(
@@ -1476,7 +1477,7 @@ impl Reactor {
         let (engine, control) = match shared_stream_parts(
             stream_id,
             crate::serve::engine_config(&self.shared.config),
-            self.shared.config.max_automaton_states,
+            crate::serve::MAX_AUTOMATON_STATES,
             runtime.telemetry(),
             &request.queries,
             Box::new(owner),
@@ -1509,8 +1510,7 @@ impl Reactor {
         }
         // `track_open_path` lets mid-stream engine swaps (scheduled by
         // attaches with novel queries) replay the open-tag path on resume.
-        let opts = crate::serve::session_options(&self.shared.config, &request, stream_id)
-            .track_open_path(true);
+        let opts = crate::serve::session_options(&request, stream_id).track_open_path(true);
         let core = runtime.new_session_core(Arc::clone(&engine), &opts);
         let sink =
             Materializer { core: Arc::clone(&core), inner: FanoutSink::new(Arc::clone(&control)) };
@@ -1650,7 +1650,7 @@ impl Reactor {
             Err(e) => {
                 // The client's stream died. Drain what was ingested — the
                 // matches already in flight still go out — and record the
-                // failure, same contract as the blocking mode.
+                // failure in the connection's report.
                 conn.read_error = Some(e.to_string());
                 session.feeder.request_finish();
                 session.feeder.pump_nonblocking(&pool);
@@ -1903,8 +1903,7 @@ impl Reactor {
                             // The subscriber's report becomes the connection's
                             // session report: its local per-query counts, its
                             // delivered/dropped totals, its (or the stream's)
-                            // terminal error — the same synthesis as the
-                            // blocking mode.
+                            // terminal error.
                             let report = done.report.take().map(|r| SessionReport {
                                 stats: RuntimeStats {
                                     matches: r.delivered,

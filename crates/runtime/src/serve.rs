@@ -15,24 +15,22 @@
 //!            └───────────────────────────────────────────────────────┘
 //! ```
 //!
-//! Two serving disciplines share the handshake, the admission gate, the
-//! session machinery and the accounting — pick one with
-//! [`TcpServerBuilder::mode`]:
+//! There is one serving discipline: a small fixed set of ingest threads
+//! drives every connection from a `poll(2)` event loop over nonblocking
+//! sockets (see [`crate::reactor`]). One thread feeds thousands of slow
+//! network streams, and a slow client exerts backpressure through its
+//! bounded outbox and the retention ring instead of wedging a thread. This
+//! module is the server's shape — builder, admission, accounting, scrape
+//! surfaces, client helpers; the reactor is its engine room. Serving needs
+//! Unix (`poll(2)`, `writev(2)`, `eventfd(2)`); the engine and the
+//! in-process runtime APIs ([`Runtime::serve_reader`] included) do not.
 //!
-//! * **[`ServerMode::Reactor`]** (the default on Unix): a small fixed set of
-//!   ingest threads drives every connection from a `poll(2)` event loop —
-//!   see [`crate::reactor`]. One thread feeds thousands of slow network
-//!   streams; a slow client exerts backpressure through its bounded outbox
-//!   and the retention ring instead of wedging a thread.
-//! * **[`ServerMode::ThreadPerConn`]**: one thread per connection, the
-//!   splitter blocking on `Read`. Simple, portable, and the right tool when
-//!   connections are few and fast.
-//!
-//! Shared design points, in the spirit of the paper's serving discipline:
+//! Design points, in the spirit of the paper's serving discipline:
 //!
 //! * **Admission is credit-gated** (`Gate` mirrors
 //!   `SessionCore::acquire_credit`): at most `max_connections` sessions run
-//!   at once, further clients wait in the listener backlog.
+//!   at once; while no slot is free the listener leaves the poll set and
+//!   further clients wait in the listener backlog.
 //! * **A malformed or half-closed connection poisons one session, never the
 //!   process.** Handshake failures are answered with a structured
 //!   `ERR <reason>` line, not a dropped connection; engine-build failures
@@ -41,15 +39,14 @@
 //!   every other session keeps flowing.
 //! * **Graceful shutdown**: [`TcpServer::shutdown`] stops accepting, then
 //!   drains the connections still in flight before returning the final
-//!   [`ServerStats`]. The accept loop is woken through an `eventfd(2)` (the
-//!   reactor's wake fd), never by the server connecting to itself — the old
-//!   self-connect wake could block indefinitely against a full backlog
-//!   exactly when the server was busiest.
+//!   [`ServerStats`]. The ingest threads are woken through their wake fds,
+//!   never by the server connecting to itself — a self-connect wake could
+//!   block indefinitely against a full backlog exactly when the server was
+//!   busiest.
 //! * **Accounting survives the disconnect**: every connection that passed
 //!   the handshake leaves a [`ConnectionReport`] in the server-level stats
-//!   snapshot; reactor servers additionally report event-loop totals
-//!   ([`ReactorStats`]) and per-shard/router accounting ([`ShardStats`],
-//!   [`RouterStats`]).
+//!   snapshot, beside event-loop totals ([`ReactorStats`]) and
+//!   per-shard/router accounting ([`ShardStats`], [`RouterStats`]).
 //! * **Streams are placed by identity.** Every post-handshake connection is
 //!   routed to the shard owning its stream id on a consistent-hash ring
 //!   (see [`crate::shard`] and [`TcpServerBuilder::shards`]); with the
@@ -60,25 +57,22 @@
 //!   times out post-handshake connections with no socket progress — the
 //!   dead-but-open-client case the handshake deadline cannot see.
 
-use crate::pool::{lock_recover, wait_recover};
+use crate::pool::lock_recover;
+use crate::reactor::{ReactorCounters, ReactorHandles};
 use crate::shard::ShardRouter;
-use crate::sink::{BorrowedMatch, PayloadSink};
 use crate::stats::{ReactorStats, RouterStats, ShardStats};
-use crate::subscribe::{
-    AttachError, StreamControl, SubscriberDelivery, SubscriberReport, SubscriberSink,
-};
+use crate::subscribe::{AttachError, StreamControl};
 use crate::telemetry::{Counter, EventJournal, EventKind, Histogram, Registry};
 use crate::wire::{
-    HandshakeDecoder, HandshakeReply, HandshakeRequest, WireFormat, WireSink,
-    DEFAULT_MAX_HANDSHAKE_LINE, DEFAULT_MAX_QUERIES,
+    HandshakeReply, HandshakeRequest, WireFormat, DEFAULT_MAX_HANDSHAKE_LINE, DEFAULT_MAX_QUERIES,
 };
-use crate::{Runtime, RuntimeStats, SessionOptions, SessionReport};
+use crate::{Runtime, SessionOptions, SessionReport};
 use ppt_core::EngineConfig;
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Server-assigned stream ids live at and above bit 52. Clients pick small
@@ -104,9 +98,8 @@ pub(crate) fn assign_stream_id() -> u64 {
     ASSIGNED_STREAM_ID_BASE | NEXT_STREAM_ID.fetch_add(1, Ordering::Relaxed)
 }
 
-/// The structured liveness verdict, worded once for every path that can
-/// reach a report (reactor expiry, thread-mode read and write deadlines) —
-/// tests and operators match on this text.
+/// The structured liveness verdict, worded once for every idle expiry —
+/// [`Shared::record`], tests and operators match on this text.
 pub(crate) fn idle_timeout_error(idle: Duration) -> String {
     format!("idle timeout: no socket progress for {idle:?}")
 }
@@ -115,27 +108,15 @@ pub(crate) fn idle_timeout_error(idle: Duration) -> String {
 /// first); counters keep counting beyond this.
 const MAX_REMEMBERED_REPORTS: usize = 1024;
 
-/// How a [`TcpServer`] schedules its connections.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServerMode {
-    /// One OS thread per connection; the splitter blocks on `Read`.
-    ThreadPerConn,
-    /// A fixed set of ingest threads drives all connections from a
-    /// `poll(2)` event loop (see [`crate::reactor`]). The default on Unix;
-    /// on other platforms the builder falls back to
-    /// [`ServerMode::ThreadPerConn`].
-    Reactor,
-}
+/// Ceiling on the retention budget a client may request; larger `RETAIN`
+/// requests are clamped, not rejected.
+const MAX_RETAIN_BYTES: u64 = 64 << 20;
 
-impl Default for ServerMode {
-    fn default() -> ServerMode {
-        if cfg!(unix) {
-            ServerMode::Reactor
-        } else {
-            ServerMode::ThreadPerConn
-        }
-    }
-}
+/// State-count ceiling for each stream's merged automaton. A late attach
+/// whose query merge would determinize past it is refused with a structured
+/// `ERR` — existing subscribers of the stream are never degraded by a
+/// co-tenant's pathological query set.
+pub(crate) const MAX_AUTOMATON_STATES: usize = 1 << 16;
 
 /// The in-process sharding shape of a server: how many shards, and how each
 /// shard's pools are sized (see [`crate::shard`]).
@@ -147,24 +128,19 @@ pub struct ShardSpec {
     /// worker count of the runtime passed to `bind` (which serves as
     /// shard 0).
     pub workers: Option<usize>,
-    /// Virtual nodes per shard on the placement ring.
-    pub vnodes: usize,
 }
 
 impl Default for ShardSpec {
     fn default() -> ShardSpec {
-        ShardSpec { shards: 1, workers: None, vnodes: crate::shard::DEFAULT_VNODES }
+        ShardSpec { shards: 1, workers: None }
     }
 }
 
 /// Builder for a [`TcpServer`].
 #[derive(Debug, Clone)]
 pub struct TcpServerBuilder {
-    pub(crate) mode: ServerMode,
     pub(crate) max_connections: usize,
     pub(crate) max_queries: usize,
-    pub(crate) max_retain_bytes: u64,
-    pub(crate) max_handshake_line: usize,
     pub(crate) handshake_timeout: Option<Duration>,
     pub(crate) idle_timeout: Option<Duration>,
     pub(crate) chunk_size: Option<usize>,
@@ -174,17 +150,13 @@ pub struct TcpServerBuilder {
     pub(crate) max_outbox_bytes: usize,
     pub(crate) shard: ShardSpec,
     pub(crate) admin_addr: Option<String>,
-    pub(crate) max_automaton_states: usize,
 }
 
 impl Default for TcpServerBuilder {
     fn default() -> TcpServerBuilder {
         TcpServerBuilder {
-            mode: ServerMode::default(),
             max_connections: 64,
             max_queries: DEFAULT_MAX_QUERIES,
-            max_retain_bytes: 64 << 20,
-            max_handshake_line: DEFAULT_MAX_HANDSHAKE_LINE,
             handshake_timeout: Some(Duration::from_secs(10)),
             idle_timeout: None,
             chunk_size: None,
@@ -194,20 +166,11 @@ impl Default for TcpServerBuilder {
             max_outbox_bytes: 1 << 20,
             shard: ShardSpec::default(),
             admin_addr: None,
-            max_automaton_states: 1 << 16,
         }
     }
 }
 
 impl TcpServerBuilder {
-    /// Picks the serving discipline (default [`ServerMode::Reactor`] on
-    /// Unix). A `Reactor` request on a platform without `poll(2)` falls
-    /// back to `ThreadPerConn`.
-    pub fn mode(mut self, mode: ServerMode) -> TcpServerBuilder {
-        self.mode = mode;
-        self
-    }
-
     /// Concurrent-connection cap (default 64). Clients beyond it wait in the
     /// listener backlog until a running session finishes.
     pub fn max_connections(mut self, n: usize) -> TcpServerBuilder {
@@ -218,21 +181,6 @@ impl TcpServerBuilder {
     /// Per-connection query cap (default [`DEFAULT_MAX_QUERIES`]).
     pub fn max_queries(mut self, n: usize) -> TcpServerBuilder {
         self.max_queries = n.max(1);
-        self
-    }
-
-    /// Ceiling on the retention budget a client may request (default
-    /// 64 MiB); larger `RETAIN` requests are clamped, not rejected.
-    pub fn max_retain_bytes(mut self, bytes: u64) -> TcpServerBuilder {
-        self.max_retain_bytes = bytes.max(1);
-        self
-    }
-
-    /// Cap on one handshake line (default
-    /// [`DEFAULT_MAX_HANDSHAKE_LINE`]) — bounds memory against a client
-    /// that never sends a newline.
-    pub fn max_handshake_line(mut self, bytes: usize) -> TcpServerBuilder {
-        self.max_handshake_line = bytes.max(1);
         self
     }
 
@@ -254,7 +202,7 @@ impl TcpServerBuilder {
     /// in the streaming phase holds all three forever — the handshake
     /// deadline machinery only covers connections still handshaking. A slow
     /// but live client is safe at any rate: every read or write resets the
-    /// clock. In **reactor mode** two refinements pin "progress" down:
+    /// clock. Two refinements pin "progress" down:
     ///
     /// * A **pipeline-side stall** never counts against the client: a
     ///   connection the server still owes work on (chunks pending in a
@@ -264,16 +212,6 @@ impl TcpServerBuilder {
     /// * A client that **stops draining its frames** past the deadline is
     ///   treated as dead — indistinguishable from the NAT-idled case. The
     ///   session is poisoned and the connection closed.
-    ///
-    /// **Thread-per-connection mode** is cruder: the deadline maps onto
-    /// per-operation socket timeouts. The read deadline measures the
-    /// client's quiet time directly (and does not tick while the server is
-    /// busy inside the pipeline), but it is *not* reset by write-side
-    /// progress — a client that holds its stream open without sending for
-    /// longer than the deadline is timed out even while it drains frames.
-    /// The write deadline latches the sink on expiry (later frames count as
-    /// dropped) and the session drains. Workloads needing the refined
-    /// semantics should serve in reactor mode (the default on Unix).
     ///
     /// Set it comfortably above the longest quiet period the workload's
     /// streams legitimately have.
@@ -301,14 +239,6 @@ impl TcpServerBuilder {
         self
     }
 
-    /// Virtual nodes per shard on the placement ring (default
-    /// [`crate::shard::DEFAULT_VNODES`]). More points = tighter balance,
-    /// larger ring.
-    pub fn shard_vnodes(mut self, n: usize) -> TcpServerBuilder {
-        self.shard.vnodes = n.max(1);
-        self
-    }
-
     /// Chunk size for the per-connection engines (default: the engine's own
     /// default).
     pub fn chunk_size(mut self, bytes: usize) -> TcpServerBuilder {
@@ -323,27 +253,27 @@ impl TcpServerBuilder {
         self
     }
 
-    /// Ingest threads in [`ServerMode::Reactor`] (default 1 — one `poll(2)`
-    /// loop drives every connection; raise it only when handshake/engine
-    /// builds or sheer socket volume saturate a single loop).
+    /// Ingest threads (default 1 — one `poll(2)` loop drives every
+    /// connection; raise it only when handshake/engine builds or sheer
+    /// socket volume saturate a single loop).
     pub fn ingest_threads(mut self, n: usize) -> TcpServerBuilder {
         self.ingest_threads = n.max(1);
         self
     }
 
-    /// Join-executor threads in [`ServerMode::Reactor`] (default 2): the
-    /// fixed pool that folds chunk outputs for the reactor sessions. A
-    /// sharded server runs one such pool **per shard**, each `n` threads
-    /// wide, so shards never contend on each other's folds.
+    /// Join-executor threads (default 2): the fixed pool that folds chunk
+    /// outputs for the sessions. A sharded server runs one such pool **per
+    /// shard**, each `n` threads wide, so shards never contend on each
+    /// other's folds.
     pub fn join_threads(mut self, n: usize) -> TcpServerBuilder {
         self.join_threads = n.max(1);
         self
     }
 
-    /// Per-connection outbox byte cap in [`ServerMode::Reactor`] (default
-    /// 1 MiB): frames queued beyond it park the session's fold until the
-    /// socket drains — the backpressure path for slow clients. Soft cap:
-    /// the buffer may overshoot by one chunk's worth of frames.
+    /// Per-connection outbox byte cap (default 1 MiB): frames queued beyond
+    /// it park the session's fold until the socket drains — the
+    /// backpressure path for slow clients. Soft cap: the buffer may
+    /// overshoot by one chunk's worth of frames.
     pub fn max_outbox_bytes(mut self, bytes: usize) -> TcpServerBuilder {
         self.max_outbox_bytes = bytes.max(1);
         self
@@ -355,16 +285,6 @@ impl TcpServerBuilder {
     /// `curl` or bare `nc` (a non-HTTP request gets the metrics page raw).
     /// It renders from the same [`crate::telemetry::Registry`] assembly as
     /// the in-band `STATS` verb, so both surfaces always agree. Serving is
-    /// State-count ceiling for each stream's merged automaton (default
-    /// 65 536). A late attach whose query merge would determinize past this
-    /// budget is refused with a structured `ERR` — existing subscribers of
-    /// the stream are never degraded by a co-tenant's pathological query
-    /// set.
-    pub fn max_automaton_states(mut self, states: usize) -> TcpServerBuilder {
-        self.max_automaton_states = states;
-        self
-    }
-
     /// serial — one scrape at a time, each bounded by a short read timeout —
     /// because a metrics plane must never compete with the data plane for
     /// threads.
@@ -396,12 +316,11 @@ impl TcpServerBuilder {
             ));
         }
         let accounting = (0..shards.len()).map(|_| ShardAccounting::default()).collect();
-        let router = ShardRouter::with_vnodes(shards, self.shard.vnodes);
         let shared = Arc::new(Shared {
-            router,
+            router: ShardRouter::new(shards),
             accounting,
+            gate: Gate::new(self.max_connections),
             config: self,
-            gate: Gate::new_closed(),
             shutting_down: AtomicBool::new(false),
             accepted: AtomicU64::new(0),
             handshake_rejects: AtomicU64::new(0),
@@ -414,90 +333,31 @@ impl TcpServerBuilder {
             hub: Mutex::new(HashMap::new()),
             telemetry: Arc::new(ServeTelemetry::default()),
             record_epoch: AtomicU64::new(0),
-            #[cfg(unix)]
-            reactor_counters: std::sync::OnceLock::new(),
+            reactor_counters: Arc::default(),
         });
-        // The gate starts with max_connections slots.
-        *lock_recover(&shared.gate.slots).0 = shared.config.max_connections;
-        let engine = match effective_mode(shared.config.mode) {
-            #[cfg(unix)]
-            ServerMode::Reactor => {
-                ModeHandles::Reactor(crate::reactor::spawn(Arc::clone(&shared), listener)?)
-            }
-            _ => spawn_thread_per_conn(Arc::clone(&shared), listener)?,
-        };
+        let reactor = crate::reactor::spawn(Arc::clone(&shared), listener)?;
         let admin = match shared.config.admin_addr.clone() {
             Some(addr) => Some(spawn_admin(Arc::clone(&shared), &addr)?),
             None => None,
         };
-        Ok(TcpServer { shared, local_addr, engine, admin })
-    }
-}
-
-/// Spawns the thread-per-connection accept loop.
-#[cfg(unix)]
-fn spawn_thread_per_conn(
-    shared: Arc<Shared>,
-    listener: TcpListener,
-) -> std::io::Result<ModeHandles> {
-    let wake = Arc::new(crate::reactor::WakeFd::new()?);
-    let accept_wake = Arc::clone(&wake);
-    let accept = std::thread::Builder::new()
-        .name("ppt-accept".to_string())
-        .spawn(move || accept_loop(&shared, listener, &accept_wake))
-        .map_err(|e| std::io::Error::other(format!("failed to spawn accept thread: {e}")))?;
-    Ok(ModeHandles::ThreadPerConn { accept: Some(accept), wake })
-}
-
-/// Spawns the thread-per-connection accept loop (portable fallback).
-#[cfg(not(unix))]
-fn spawn_thread_per_conn(
-    shared: Arc<Shared>,
-    listener: TcpListener,
-) -> std::io::Result<ModeHandles> {
-    let accept = std::thread::Builder::new()
-        .name("ppt-accept".to_string())
-        .spawn(move || accept_loop(&shared, listener))
-        .map_err(|e| std::io::Error::other(format!("failed to spawn accept thread: {e}")))?;
-    Ok(ModeHandles::ThreadPerConn { accept: Some(accept) })
-}
-
-/// The mode actually served: `Reactor` needs `poll(2)`.
-fn effective_mode(requested: ServerMode) -> ServerMode {
-    if cfg!(unix) {
-        requested
-    } else {
-        ServerMode::ThreadPerConn
+        Ok(TcpServer { shared, local_addr, reactor, admin })
     }
 }
 
 /// The admission gate: the pipeline's credit pattern applied to whole
-/// connections. `acquire` blocks while `max_connections` sessions are live
-/// and returns `false` once the server is closing; `try_acquire` is the
-/// reactor's non-blocking flavor.
+/// connections. The accepting ingest thread takes a slot before each
+/// `accept` (and leaves the listener out of its poll set while none is
+/// free); whichever ingest thread closes a connection gives its slot back.
+/// Nothing ever waits on it, and once closed (shutdown) it refuses every
+/// acquire.
 pub(crate) struct Gate {
-    pub(crate) slots: Mutex<usize>,
-    cv: Condvar,
+    slots: Mutex<usize>,
     closed: AtomicBool,
 }
 
 impl Gate {
-    fn new_closed() -> Gate {
-        Gate { slots: Mutex::new(0), cv: Condvar::new(), closed: AtomicBool::new(false) }
-    }
-
-    fn acquire(&self) -> bool {
-        let (mut slots, _) = lock_recover(&self.slots);
-        loop {
-            if self.closed.load(Ordering::SeqCst) {
-                return false;
-            }
-            if *slots > 0 {
-                *slots -= 1;
-                return true;
-            }
-            slots = wait_recover(&self.cv, slots).0;
-        }
+    fn new(slots: usize) -> Gate {
+        Gate { slots: Mutex::new(slots), closed: AtomicBool::new(false) }
     }
 
     /// Takes a slot if one is free right now; never blocks.
@@ -521,12 +381,10 @@ impl Gate {
 
     pub(crate) fn release(&self) {
         *lock_recover(&self.slots).0 += 1;
-        self.cv.notify_one();
     }
 
     fn close(&self) {
         self.closed.store(true, Ordering::SeqCst);
-        self.cv.notify_all();
     }
 }
 
@@ -548,7 +406,7 @@ pub(crate) struct ShardAccounting {
 /// [`crate::telemetry::RuntimeTelemetry`].
 #[derive(Debug, Default)]
 pub(crate) struct ServeTelemetry {
-    /// Accept-to-acceptance handshake duration (nanoseconds), both modes.
+    /// Accept-to-acceptance handshake duration (nanoseconds).
     pub handshake_nanos: Histogram,
     /// Reactor poll-return-to-dispatch-complete latency per round with at
     /// least one ready fd (nanoseconds).
@@ -557,8 +415,7 @@ pub(crate) struct ServeTelemetry {
     /// socket drained it empty (nanoseconds).
     pub outbox_residency_nanos: Histogram,
     /// Egress bytes that were *copied* into an outbox (frame headers, JSON
-    /// fallback frames, handshake replies, thread-mode writes count zero
-    /// here — they never enter a reactor outbox).
+    /// fallback frames, handshake replies, `STATS` pages).
     pub bytes_copied: Counter,
     /// Egress payload bytes *borrowed* from retention windows and written
     /// via vectored I/O without an intermediate copy.
@@ -570,8 +427,8 @@ pub(crate) struct ServeTelemetry {
     pub journal: EventJournal,
 }
 
-/// Everything the accept loop / ingest threads and the connection handlers
-/// share.
+/// Everything the ingest threads, the join executors and the scrape
+/// surfaces share.
 pub(crate) struct Shared {
     pub(crate) router: ShardRouter,
     accounting: Vec<ShardAccounting>,
@@ -598,12 +455,10 @@ pub(crate) struct Shared {
     /// readers retry (bounded) on a torn window instead of locking the
     /// record path.
     record_epoch: AtomicU64,
-    /// The reactor's event-loop counters, set once by
-    /// [`crate::reactor::spawn`] so every scrape surface (in-band `STATS`,
-    /// admin listener, [`TcpServer::stats`]) reads the same source of truth.
-    /// Never set in thread-per-connection mode.
-    #[cfg(unix)]
-    reactor_counters: std::sync::OnceLock<Arc<crate::reactor::ReactorCounters>>,
+    /// The reactor's event-loop counters: the ingest threads count into
+    /// them, and every scrape surface (in-band `STATS`, admin listener,
+    /// [`TcpServer::stats`]) reads the same source of truth.
+    pub(crate) reactor_counters: Arc<ReactorCounters>,
 }
 
 impl Shared {
@@ -646,14 +501,13 @@ impl Shared {
             EventKind::Poisoned
         };
         self.telemetry.journal.record(kind, report.stream_id, report.shard);
-        // Writer side: `record` runs concurrently in thread-per-connection
-        // mode (each connection thread records its own departure), and two
-        // in-flight writers would break the epoch's odd/even parity — the
-        // epoch turns even while counters are still mid-update, and a reader
-        // would validate a torn snapshot (found by the PR-8 interleaving
-        // model; see crates/runtime/tests/model.rs::seqlock_two_writers_*).
-        // The reports mutex, which `record` takes anyway, is acquired early
-        // to serialize writers; snapshot readers never touch it.
+        // Writer side: several ingest threads can record at once (each
+        // closes its own connections), and two in-flight writers would break
+        // the epoch's odd/even parity — the epoch turns even while counters
+        // are still mid-update, and a reader would validate a torn snapshot
+        // (see crates/runtime/tests/model.rs::seqlock_two_writers_*). The
+        // reports mutex, which `record` takes anyway, is acquired early to
+        // serialize writers; snapshot readers never touch it.
         let (mut reports, _) = lock_recover(&self.reports);
         // Seqlock write side: a stats snapshot taken mid-record could see
         // e.g. the session counted completed but its frames not yet added —
@@ -692,25 +546,6 @@ impl Shared {
             reports.pop_front();
         }
         reports.push_back(report);
-    }
-
-    /// Hands the reactor's counters to the scrape surfaces (called once from
-    /// [`crate::reactor::spawn`]; subsequent sets are ignored).
-    #[cfg(unix)]
-    pub(crate) fn set_reactor_counters(&self, counters: Arc<crate::reactor::ReactorCounters>) {
-        let _ = self.reactor_counters.set(counters);
-    }
-
-    /// The reactor's event-loop snapshot, when this server runs one.
-    fn reactor_stats(&self) -> Option<ReactorStats> {
-        #[cfg(unix)]
-        {
-            self.reactor_counters.get().map(|c| c.snapshot())
-        }
-        #[cfg(not(unix))]
-        {
-            None
-        }
     }
 
     /// A live snapshot of the server's accounting — the single assembly
@@ -767,7 +602,7 @@ impl Shared {
             sessions_failed: self.sessions_failed.load(Ordering::Acquire),
             frames_out: self.frames_out.load(Ordering::Acquire),
             bytes_out: self.bytes_out.load(Ordering::Acquire),
-            reactor: self.reactor_stats(),
+            reactor: self.reactor_counters.snapshot(),
             shards,
             router,
             connections: lock_recover(&self.reports).0.iter().cloned().collect(),
@@ -922,44 +757,43 @@ impl Shared {
             vec![],
             stats.router.imbalance,
         );
-        if let Some(reactor) = &stats.reactor {
-            reg.gauge(
-                "ppt_reactor_registered_fds",
-                "File descriptors currently registered with the event loop.",
-                vec![],
-                reactor.registered_fds as f64,
-            );
-            reg.gauge(
-                "ppt_reactor_peak_registered_fds",
-                "Peak registered file descriptors.",
-                vec![],
-                reactor.peak_registered_fds as f64,
-            );
-            reg.counter(
-                "ppt_reactor_polls_total",
-                "poll(2) calls across all ingest threads.",
-                vec![],
-                reactor.polls,
-            );
-            reg.counter(
-                "ppt_reactor_wakeups_total",
-                "Cross-thread wake-ups observed on the event fds.",
-                vec![],
-                reactor.wakeups,
-            );
-            reg.counter(
-                "ppt_reactor_dispatches_total",
-                "Readiness events dispatched to connection state machines.",
-                vec![],
-                reactor.readiness_dispatches,
-            );
-            reg.gauge(
-                "ppt_reactor_peak_outbox_bytes",
-                "Peak bytes any single connection's outbox held at once.",
-                vec![],
-                reactor.peak_outbox_bytes as f64,
-            );
-        }
+        let reactor = &stats.reactor;
+        reg.gauge(
+            "ppt_reactor_registered_fds",
+            "File descriptors currently registered with the event loop.",
+            vec![],
+            reactor.registered_fds as f64,
+        );
+        reg.gauge(
+            "ppt_reactor_peak_registered_fds",
+            "Peak registered file descriptors.",
+            vec![],
+            reactor.peak_registered_fds as f64,
+        );
+        reg.counter(
+            "ppt_reactor_polls_total",
+            "poll(2) calls across all ingest threads.",
+            vec![],
+            reactor.polls,
+        );
+        reg.counter(
+            "ppt_reactor_wakeups_total",
+            "Cross-thread wake-ups observed on the event fds.",
+            vec![],
+            reactor.wakeups,
+        );
+        reg.counter(
+            "ppt_reactor_dispatches_total",
+            "Readiness events dispatched to connection state machines.",
+            vec![],
+            reactor.readiness_dispatches,
+        );
+        reg.gauge(
+            "ppt_reactor_peak_outbox_bytes",
+            "Peak bytes any single connection's outbox held at once.",
+            vec![],
+            reactor.peak_outbox_bytes as f64,
+        );
         for (idx, telemetry) in self.router.telemetries().iter().enumerate() {
             for (stage, hist) in telemetry.stages() {
                 reg.histogram(
@@ -1070,14 +904,10 @@ pub(crate) fn engine_config(cfg: &TcpServerBuilder) -> EngineConfig {
 /// *resolved* id — the client's requested one, or the server-assigned unique
 /// one (see [`assign_stream_id`]) when the handshake carried no `STREAM`
 /// line.
-pub(crate) fn session_options(
-    cfg: &TcpServerBuilder,
-    request: &HandshakeRequest,
-    stream_id: u64,
-) -> SessionOptions {
+pub(crate) fn session_options(request: &HandshakeRequest, stream_id: u64) -> SessionOptions {
     let mut opts = SessionOptions::new().stream_id(stream_id);
     if let Some(requested) = request.retain_bytes {
-        let budget = requested.min(cfg.max_retain_bytes);
+        let budget = requested.min(MAX_RETAIN_BYTES);
         opts = opts.retain_bytes(usize::try_from(budget).unwrap_or(usize::MAX));
     }
     opts
@@ -1099,16 +929,15 @@ pub struct ConnectionReport {
     pub queries: Vec<String>,
     /// The negotiated frame format.
     pub format: WireFormat,
-    /// Frames accepted for delivery (written to the socket, or — in reactor
-    /// mode — framed into the connection's outbox).
+    /// Frames accepted for delivery (framed into the connection's outbox).
     pub frames: u64,
     /// Bytes those frames covered.
     pub bytes_out: u64,
     /// The final session report — per-query match counts and
     /// [`crate::RuntimeStats`]. `None` only when the connection's pipeline
-    /// never produced one (the thread-per-connection reader died
-    /// mid-stream; the reactor drains the pipeline and keeps the report
-    /// even then, with [`ConnectionReport::read_error`] set alongside).
+    /// never produced one. A client whose stream dies mid-way still gets its
+    /// report: the server drains the pipeline and keeps it, with
+    /// [`ConnectionReport::read_error`] set alongside.
     pub report: Option<SessionReport>,
     /// The first write error, if the client stopped reading frames.
     pub write_error: Option<String>,
@@ -1135,9 +964,8 @@ pub struct ServerStats {
     pub frames_out: u64,
     /// Bytes written across all connections.
     pub bytes_out: u64,
-    /// Event-loop accounting when the server runs in
-    /// [`ServerMode::Reactor`]; `None` in thread-per-connection mode.
-    pub reactor: Option<ReactorStats>,
+    /// Event-loop accounting, all ingest threads summed.
+    pub reactor: ReactorStats,
     /// Per-shard accounting, ring order (a single entry on an unsharded
     /// server).
     pub shards: Vec<ShardStats>,
@@ -1146,20 +974,6 @@ pub struct ServerStats {
     /// Per-connection reports, oldest first (bounded; the counters above
     /// keep counting beyond the cap).
     pub connections: Vec<ConnectionReport>,
-}
-
-/// The serving machinery behind a bound server, by mode (accept thread +
-/// wake fd, or the reactor's ingest threads).
-enum ModeHandles {
-    #[cfg(unix)]
-    ThreadPerConn {
-        accept: Option<std::thread::JoinHandle<Vec<std::thread::JoinHandle<()>>>>,
-        wake: Arc<crate::reactor::WakeFd>,
-    },
-    #[cfg(not(unix))]
-    ThreadPerConn { accept: Option<std::thread::JoinHandle<Vec<std::thread::JoinHandle<()>>>> },
-    #[cfg(unix)]
-    Reactor(crate::reactor::ReactorHandles),
 }
 
 /// A listening TCP front-end over a [`Runtime`].
@@ -1178,7 +992,7 @@ enum ModeHandles {
 pub struct TcpServer {
     shared: Arc<Shared>,
     local_addr: SocketAddr,
-    engine: ModeHandles,
+    reactor: ReactorHandles,
     admin: Option<AdminHandle>,
 }
 
@@ -1249,30 +1063,7 @@ impl TcpServer {
                 let _ = thread.join();
             }
         }
-        #[cfg(not(unix))]
-        let local_addr = self.local_addr;
-        match &mut self.engine {
-            #[cfg(unix)]
-            ModeHandles::ThreadPerConn { accept, wake } => {
-                let Some(accept) = accept.take() else { return };
-                // Wake an accept loop parked in poll(): the eventfd makes
-                // the wake fd readable. (The old self-connect wake could
-                // block for minutes against a full backlog — exactly when
-                // the server is at max_connections with clients queued.)
-                wake.wake();
-                join_accept(accept);
-            }
-            #[cfg(not(unix))]
-            ModeHandles::ThreadPerConn { accept } => {
-                let Some(accept) = accept.take() else { return };
-                // No poll(2) here: wake a blocked accept() with a throwaway
-                // connection to ourselves, discarded by the shutdown check.
-                let _ = TcpStream::connect(local_addr);
-                join_accept(accept);
-            }
-            #[cfg(unix)]
-            ModeHandles::Reactor(handles) => handles.shutdown_join(),
-        }
+        self.reactor.shutdown_join();
     }
 }
 
@@ -1282,390 +1073,6 @@ impl Drop for TcpServer {
     }
 }
 
-/// Joins the accept thread and drains its in-flight connection handles.
-fn join_accept(accept: std::thread::JoinHandle<Vec<std::thread::JoinHandle<()>>>) {
-    match accept.join() {
-        Ok(connections) => {
-            for conn in connections {
-                let _ = conn.join();
-            }
-        }
-        Err(_) => {
-            // The accept loop panicked; connection threads are detached but
-            // self-contained (each serves one socket), so the server object
-            // can still wind down.
-        }
-    }
-}
-
-/// Accepts until shutdown; returns the handles of connections still in
-/// flight so `shutdown` can drain them. The listener is nonblocking and
-/// multiplexed with the wake fd so shutdown never needs a wake-up
-/// connection.
-#[cfg(unix)]
-fn accept_loop(
-    shared: &Arc<Shared>,
-    listener: TcpListener,
-    wake: &crate::reactor::WakeFd,
-) -> Vec<std::thread::JoinHandle<()>> {
-    use crate::reactor::{poll_fds, PollFd, POLLIN};
-    use std::os::unix::io::AsRawFd;
-
-    let mut connections: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    if listener.set_nonblocking(true).is_err() {
-        return connections;
-    }
-    loop {
-        // Admission gate *before* accept: beyond max_connections, pending
-        // clients queue in the listener backlog, no thread is spawned. A
-        // closed gate (shutdown) returns false and ends the loop.
-        if !shared.gate.acquire() {
-            break;
-        }
-        let accepted = loop {
-            if shared.shutting_down.load(Ordering::SeqCst) {
-                break None;
-            }
-            match listener.accept() {
-                Ok(pair) => break Some(pair),
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    let mut fds = [
-                        PollFd { fd: listener.as_raw_fd(), events: POLLIN, revents: 0 },
-                        PollFd { fd: wake.raw_fd(), events: POLLIN, revents: 0 },
-                    ];
-                    if poll_fds(&mut fds, -1).is_err() {
-                        // A persistently failing poll must degrade, not
-                        // hard-spin the accept thread (same guard as the
-                        // reactor's own loop).
-                        std::thread::sleep(Duration::from_millis(10));
-                    }
-                    if fds[1].revents != 0 {
-                        wake.drain();
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                // Per-connection accept errors (ECONNABORTED) and resource
-                // exhaustion (EMFILE — likely exactly when many connection
-                // threads hold fds) must not kill the listener; the pause
-                // keeps a persistent failure from busy-spinning a core.
-                Err(_) => {
-                    std::thread::sleep(Duration::from_millis(50));
-                    break None;
-                }
-            }
-        };
-        let Some((stream, peer)) = accepted else {
-            shared.gate.release();
-            if shared.shutting_down.load(Ordering::SeqCst) {
-                break;
-            }
-            continue;
-        };
-        spawn_connection(shared, &mut connections, stream, peer);
-    }
-    connections
-}
-
-/// The portable fallback accept loop: blocking `accept`, woken by the
-/// shutdown path's self-connect.
-#[cfg(not(unix))]
-fn accept_loop(shared: &Arc<Shared>, listener: TcpListener) -> Vec<std::thread::JoinHandle<()>> {
-    let mut connections: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    loop {
-        if !shared.gate.acquire() {
-            break;
-        }
-        let accepted = match listener.accept() {
-            Ok((stream, peer)) => Some((stream, peer)),
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => None,
-            Err(_) => {
-                std::thread::sleep(Duration::from_millis(50));
-                None
-            }
-        };
-        if shared.shutting_down.load(Ordering::SeqCst) {
-            shared.gate.release();
-            break;
-        }
-        let Some((stream, peer)) = accepted else {
-            shared.gate.release();
-            continue;
-        };
-        spawn_connection(shared, &mut connections, stream, peer);
-    }
-    connections
-}
-
-/// Spawns (and reaps) one connection thread in thread-per-connection mode.
-fn spawn_connection(
-    shared: &Arc<Shared>,
-    connections: &mut Vec<std::thread::JoinHandle<()>>,
-    stream: TcpStream,
-    peer: SocketAddr,
-) {
-    // RELAXED-OK: monotonic stat counter; orders nothing.
-    shared.accepted.fetch_add(1, Ordering::Relaxed);
-    let conn_shared = Arc::clone(shared);
-    let spawned = std::thread::Builder::new().name(format!("ppt-conn-{peer}")).spawn(move || {
-        // RELAXED-OK: live gauge; readers tolerate transient skew.
-        conn_shared.active.fetch_add(1, Ordering::Relaxed);
-        serve_connection(&conn_shared, stream, peer);
-        // RELAXED-OK: live gauge; readers tolerate transient skew.
-        conn_shared.active.fetch_sub(1, Ordering::Relaxed);
-        conn_shared.gate.release();
-    });
-    match spawned {
-        Ok(handle) => connections.push(handle),
-        Err(_) => shared.gate.release(), // thread exhaustion: drop the conn
-    }
-    // Reap finished connections so a long-lived server doesn't accumulate
-    // handles (dropping a finished handle detaches nothing — the thread is
-    // already gone).
-    connections.retain(|h| !h.is_finished());
-}
-
-/// Serves one accepted connection end to end: handshake, engine build,
-/// session, accounting.
-fn serve_connection(shared: &Shared, mut stream: TcpStream, peer: SocketAddr) {
-    let cfg = &shared.config;
-    let _ = stream.set_nodelay(true);
-    // The sockets are nonblocking out of the unix accept loop; this path
-    // wants the classic blocking reads.
-    let _ = stream.set_nonblocking(false);
-
-    // --- Handshake ---------------------------------------------------------
-    // The timeout is a *deadline*, not a per-read allowance: the socket
-    // read-timeout is re-armed with the time remaining before every read, so
-    // a client trickling one byte per interval cannot hold its connection
-    // slot forever.
-    let handshake_started = std::time::Instant::now();
-    let deadline = cfg.handshake_timeout.map(|t| std::time::Instant::now() + t);
-    let mut decoder = HandshakeDecoder::with_limits(cfg.max_handshake_line, cfg.max_queries);
-    let mut buf = [0u8; 4096];
-    let request = loop {
-        if let Some(deadline) = deadline {
-            let remaining = deadline.saturating_duration_since(std::time::Instant::now());
-            if remaining.is_zero() {
-                reject(shared, &mut stream, "handshake timed out");
-                return;
-            }
-            let _ = stream.set_read_timeout(Some(remaining));
-        }
-        let n = match stream.read(&mut buf) {
-            Ok(0) => {
-                // Hung up (or was killed) mid-handshake: nothing to answer.
-                // RELAXED-OK: monotonic stat counter; orders nothing.
-                shared.handshake_rejects.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-            Ok(n) => n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                // Handshake deadline: answer structurally, then close.
-                reject(shared, &mut stream, "handshake timed out");
-                return;
-            }
-            Err(_) => {
-                // RELAXED-OK: monotonic stat counter; orders nothing.
-                shared.handshake_rejects.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-        };
-        match decoder.push(&buf[..n]) {
-            Ok(Some(request)) => break request,
-            Ok(None) => {}
-            Err(e) => {
-                // A malformed handshake is answered with a structured ERR
-                // line, never a silently dropped connection.
-                reject(shared, &mut stream, &e.to_string());
-                return;
-            }
-        }
-    };
-    shared.telemetry.handshake_nanos.record_duration(handshake_started.elapsed());
-    if request.stats {
-        // An in-band scrape: one snapshot page, then close. Not a session
-        // (nothing is placed, no report recorded) and not a protocol
-        // rejection — `ppt_scrapes_total` is its accounting.
-        shared.telemetry.scrapes.inc();
-        let page = shared.render_metrics();
-        let _ = stream.write_all(format!("OK STATS {}\n", page.len()).as_bytes());
-        let _ = stream.write_all(page.as_bytes());
-        let _ = stream.flush();
-        let _ = stream.shutdown(Shutdown::Both);
-        return;
-    }
-    // After the handshake the read clock switches from the handshake
-    // deadline to the liveness deadline: with `idle_timeout` set, a read
-    // that sits longer than that with no bytes fails the session (a live
-    // client resets the clock with every read). The write half gets the
-    // same deadline so a dead client cannot wedge the joiner's frame writes
-    // either. `None` (the default) restores the classic blocking reads.
-    let _ = stream.set_read_timeout(cfg.idle_timeout);
-    let _ = stream.set_write_timeout(cfg.idle_timeout);
-
-    // The stream id is resolved here — the client's requested one, or a
-    // process-unique assignment (two default handshakes used to both get 0,
-    // making their frames indistinguishable to an aggregating consumer) —
-    // and it is the partition key: the connection runs on the pools of the
-    // shard its id hashes to.
-    let stream_id = request.stream_id.unwrap_or_else(assign_stream_id);
-
-    // --- Attach: a handshake naming a live shared stream joins it ----------
-    // Only explicitly named ids can match (assignments are process-unique),
-    // and the race where the stream ends between lookup and attach falls
-    // through to serving this connection as a fresh stream owner.
-    if request.stream_id.is_some() {
-        let target = lock_recover(&shared.hub).0.get(&stream_id).cloned();
-        if let Some(control) = target {
-            if serve_attached(shared, &mut stream, peer, &control, &request, stream_id) {
-                return;
-            }
-        }
-    }
-
-    // --- Owner path: open a shared stream this connection feeds ------------
-    // From here on the handshake *succeeded*: failures are session failures
-    // (recorded with a report, counted in `sessions_failed`), not handshake
-    // rejects — an operator watching `handshake_rejects` for protocol abuse
-    // must not see phantom rejects from clients that vanished post-accept.
-    // (Query parse errors still go back over the wire as `ERR`, exactly as
-    // they always did.)
-    let shard = shared.place_stream(stream_id);
-    let runtime = Arc::clone(shared.router.shard(shard));
-    let session_setup_failed = |error: String| {
-        shared.record(ConnectionReport {
-            peer,
-            stream_id,
-            shard,
-            queries: request.queries.clone(),
-            format: request.format,
-            frames: 0,
-            bytes_out: 0,
-            report: None,
-            write_error: Some(error),
-            read_error: None,
-        });
-    };
-    let writer = match stream.try_clone() {
-        Ok(writer) => writer,
-        Err(e) => {
-            session_setup_failed(format!("socket clone failed: {e}"));
-            return;
-        }
-    };
-
-    // --- Session ------------------------------------------------------------
-    // The connection's own frames are written straight onto the socket from
-    // the stream's joiner — the single-subscriber case keeps the legacy
-    // lossless backpressure; only *co*-subscribers ride bounded queues.
-    let opts = session_options(cfg, &request, stream_id);
-    let done: Arc<Mutex<OwnerDone>> = Arc::default();
-    let owner = OwnerSubscriber {
-        sink: Some(WireSink::new(writer, request.format)),
-        done: Arc::clone(&done),
-    };
-    let mut handle = match runtime.open_shared_stream(
-        &opts,
-        engine_config(cfg),
-        cfg.max_automaton_states,
-        &request.queries,
-        Box::new(owner),
-    ) {
-        Ok(handle) => handle,
-        Err(e) => {
-            reject(shared, &mut stream, &attach_reject_message(&e));
-            shared.shard_closed(shard);
-            return;
-        }
-    };
-    let control = handle.control();
-    // Publish for late attaches. A racing owner with the same explicit id
-    // may have registered first; this stream then simply serves unshared
-    // (its own subscriber only) — first registration wins the id.
-    lock_recover(&shared.hub).0.entry(stream_id).or_insert_with(|| Arc::clone(&control));
-
-    // CAST-OK: query count is admission-capped (max_queries) far below
-    // 2^32 by the handshake decoder before we get here.
-    let ids: Vec<u32> = (0..request.queries.len() as u32).collect();
-    let reply = HandshakeReply::Accepted { stream: stream_id, queries: ids };
-    let reply_failed = stream.write_all(reply.encode().as_bytes()).err();
-
-    // --- Feed loop ----------------------------------------------------------
-    // Bytes that arrived in the same reads as the handshake are the head of
-    // the stream.
-    let mut read_error: Option<std::io::Error> = None;
-    if reply_failed.is_none() {
-        let remainder = decoder.take_remainder();
-        if !remainder.is_empty() {
-            handle.feed(&remainder);
-        }
-        let mut buf = [0u8; 64 << 10];
-        while !handle.is_dead() {
-            match stream.read(&mut buf) {
-                Ok(0) => break,
-                Ok(n) => handle.feed(&buf[..n]),
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => {
-                    read_error = Some(e);
-                    break;
-                }
-            }
-        }
-    }
-
-    // Unpublish before draining so a late attach cannot land on a stream
-    // that is already finishing (it opens a fresh one instead); remove only
-    // our own registration (a raced owner's entry is not ours to drop).
-    {
-        let (mut hub, _) = lock_recover(&shared.hub);
-        if hub.get(&stream_id).is_some_and(|c| Arc::ptr_eq(c, &control)) {
-            hub.remove(&stream_id);
-        }
-    }
-    let report = handle.finish();
-
-    // A socket-deadline expiry on either side *is* the liveness verdict in
-    // this mode: name it as such instead of leaking the kernel's
-    // would-block phrasing into the report.
-    let name_verdict = |e: std::io::Error| match (cfg.idle_timeout, e.kind()) {
-        (Some(idle), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut) => {
-            idle_timeout_error(idle)
-        }
-        _ => e.to_string(),
-    };
-    let owner_done = std::mem::take(&mut *lock_recover(&done).0);
-    let write_error = match reply_failed {
-        Some(e) => Some(format!("handshake reply failed: {e}")),
-        None => owner_done.write_error.map(name_verdict),
-    };
-    shared.record(ConnectionReport {
-        peer,
-        stream_id,
-        shard,
-        queries: request.queries,
-        format: request.format,
-        frames: owner_done.frames,
-        bytes_out: owner_done.bytes_out,
-        report: Some(report),
-        write_error,
-        read_error: read_error.map(name_verdict),
-    });
-    // Half-close (the client's frame reader sees EOF even if it keeps its
-    // write half open) only after the report is recorded: a client that has
-    // seen EOF can rely on `/metrics` counting its session.
-    let _ = stream.shutdown(Shutdown::Write);
-}
-
-/// Frames a subscriber's bounded queue holds before the stream starts
-/// shedding that subscriber's matches: the slow co-tenant's isolation
-/// boundary — a subscriber that stops draining costs drops on *its own*
-/// connection, never a stall of the shared pipeline.
-const SUBSCRIBER_QUEUE_FRAMES: usize = 1024;
-
 /// The `ERR` text an attach/open failure maps to (query parse errors keep
 /// the exact `wire_message` shape the non-shared handshake always used).
 pub(crate) fn attach_reject_message(err: &AttachError) -> String {
@@ -1673,190 +1080,6 @@ pub(crate) fn attach_reject_message(err: &AttachError) -> String {
         AttachError::Query(e) => e.wire_message(),
         other => other.to_string(),
     }
-}
-
-/// What the owner connection's accounting needs back from its boxed-away
-/// subscriber sink once the stream ends.
-#[derive(Default)]
-struct OwnerDone {
-    frames: u64,
-    bytes_out: u64,
-    write_error: Option<std::io::Error>,
-    report: Option<SubscriberReport>,
-}
-
-/// The stream owner's subscriber: writes its frames straight onto the
-/// connection socket from the stream's joiner (lossless, exactly the
-/// pre-subscription serving discipline) and hands the accounting back
-/// through `done` when the stream ends.
-struct OwnerSubscriber {
-    sink: Option<WireSink<TcpStream>>,
-    done: Arc<Mutex<OwnerDone>>,
-}
-
-impl SubscriberSink for OwnerSubscriber {
-    fn deliver(&mut self, m: BorrowedMatch) -> SubscriberDelivery {
-        // `WireSink` latches the first write error and refuses further
-        // frames; the latched error surfaces in `end`.
-        match self.sink.as_mut() {
-            Some(sink) => {
-                if sink.on_match_borrowed(m) {
-                    SubscriberDelivery::Delivered
-                } else {
-                    SubscriberDelivery::Dropped
-                }
-            }
-            None => SubscriberDelivery::Dropped,
-        }
-    }
-
-    fn end(&mut self, report: SubscriberReport) {
-        let (mut done, _) = lock_recover(&self.done);
-        if let Some(sink) = self.sink.take() {
-            done.frames = sink.frames;
-            done.bytes_out = sink.bytes_out;
-            // The socket stays open: the connection thread half-closes it
-            // once the report is recorded, never before.
-            done.write_error = sink.into_parts().1;
-        }
-        done.report = Some(report);
-    }
-}
-
-/// A late subscriber's sink: matches hop a bounded queue from the shared
-/// stream's joiner to the subscriber's own connection thread, which does the
-/// (potentially slow) socket writes. `try_send` keeps delivery non-blocking:
-/// a full queue sheds *this* subscriber's match, a hung-up drainer detaches
-/// it — the shared pipeline never waits.
-struct ChannelSubscriber {
-    tx: Option<std::sync::mpsc::SyncSender<BorrowedMatch>>,
-    report: Arc<Mutex<Option<SubscriberReport>>>,
-}
-
-impl SubscriberSink for ChannelSubscriber {
-    fn deliver(&mut self, m: BorrowedMatch) -> SubscriberDelivery {
-        match &self.tx {
-            Some(tx) => match tx.try_send(m) {
-                Ok(()) => SubscriberDelivery::Delivered,
-                Err(std::sync::mpsc::TrySendError::Full(_)) => SubscriberDelivery::Dropped,
-                Err(std::sync::mpsc::TrySendError::Disconnected(_)) => SubscriberDelivery::Detach,
-            },
-            None => SubscriberDelivery::Detach,
-        }
-    }
-
-    fn end(&mut self, report: SubscriberReport) {
-        *lock_recover(&self.report).0 = Some(report);
-        // Dropping the sender disconnects the receiver once the queued
-        // frames drain: the connection thread writes out the tail and
-        // closes.
-        self.tx = None;
-    }
-}
-
-/// Serves a connection that attached to a live shared stream: registers its
-/// queries (merging them into the stream's automaton), replies `OK ATTACH`,
-/// then drains the subscriber's frame queue onto the socket until the stream
-/// ends or the socket dies. Returns `false` when the stream ended before the
-/// attach landed — the caller then serves the connection as a fresh owner.
-fn serve_attached(
-    shared: &Shared,
-    stream: &mut TcpStream,
-    peer: SocketAddr,
-    control: &Arc<StreamControl>,
-    request: &HandshakeRequest,
-    stream_id: u64,
-) -> bool {
-    let (tx, rx) = std::sync::mpsc::sync_channel::<BorrowedMatch>(SUBSCRIBER_QUEUE_FRAMES);
-    let slot: Arc<Mutex<Option<SubscriberReport>>> = Arc::default();
-    let sub = ChannelSubscriber { tx: Some(tx), report: Arc::clone(&slot) };
-    let id = match control.attach(&request.queries, Box::new(sub)) {
-        Ok(id) => id,
-        Err(AttachError::Ended) => return false,
-        Err(e) => {
-            reject(shared, stream, &attach_reject_message(&e));
-            return true;
-        }
-    };
-    // Subscribers account on the stream's shard — same placement as the
-    // owner (the ring is deterministic in the id), so co-subscribers of one
-    // stream never scatter across shards.
-    let shard = shared.place_stream(stream_id);
-    let record = |frames: u64,
-                  bytes_out: u64,
-                  report: Option<SessionReport>,
-                  write_error: Option<String>| {
-        shared.record(ConnectionReport {
-            peer,
-            stream_id,
-            shard,
-            queries: request.queries.clone(),
-            format: request.format,
-            frames,
-            bytes_out,
-            report,
-            write_error,
-            read_error: None,
-        });
-    };
-    // CAST-OK: query count is admission-capped (max_queries) far below
-    // 2^32 by the handshake decoder before we get here.
-    let ids: Vec<u32> = (0..request.queries.len() as u32).collect();
-    let reply = HandshakeReply::Attached { stream: stream_id, queries: ids };
-    if let Err(e) = stream.write_all(reply.encode().as_bytes()) {
-        let _ = control.detach(id);
-        record(0, 0, None, Some(format!("handshake reply failed: {e}")));
-        return true;
-    }
-    let writer = match stream.try_clone() {
-        Ok(writer) => writer,
-        Err(e) => {
-            let _ = control.detach(id);
-            record(0, 0, None, Some(format!("socket clone failed: {e}")));
-            return true;
-        }
-    };
-
-    // Drain queue → socket. The payload refs still borrow the stream's
-    // retention windows — the fan-out stayed zero-copy across the thread
-    // hop; the bytes are first copied (if ever) by the kernel here.
-    let mut sink = WireSink::new(writer, request.format);
-    while let Ok(m) = rx.recv() {
-        if !sink.on_match_borrowed(m) {
-            break; // write died: stop draining, detach below
-        }
-    }
-    let _ = control.detach(id); // no-op when the stream ended first
-    let (frames, bytes_out) = (sink.frames, sink.bytes_out);
-    let (writer, write_error) = sink.into_parts();
-    // The subscriber's report becomes the connection's session report: its
-    // local per-query counts, its delivered/dropped totals, its (or the
-    // stream's) terminal error.
-    let session_report = lock_recover(&slot).0.take().map(|r| SessionReport {
-        stats: RuntimeStats {
-            matches: r.delivered,
-            dropped_matches: r.dropped,
-            ..RuntimeStats::default()
-        },
-        match_counts: r.match_counts,
-        submatch_counts: Vec::new(),
-        error: r.error,
-        speculation_ratio: None,
-    });
-    record(frames, bytes_out, session_report, write_error.map(|e| e.to_string()));
-    // Recorded first, closed second (see `serve_connection`).
-    let _ = writer.shutdown(Shutdown::Write);
-    true
-}
-
-/// Writes a structured `ERR` reply (best effort — the client may already be
-/// gone) and counts the rejection.
-fn reject(shared: &Shared, stream: &mut TcpStream, message: &str) {
-    // RELAXED-OK: monotonic stat counter; orders nothing.
-    shared.handshake_rejects.fetch_add(1, Ordering::Relaxed);
-    let _ = stream.write_all(HandshakeReply::Rejected(message.to_string()).encode().as_bytes());
-    let _ = stream.flush();
-    let _ = stream.shutdown(Shutdown::Both);
 }
 
 /// Binds and spawns the admin listener thread (see

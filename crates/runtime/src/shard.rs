@@ -140,19 +140,14 @@ impl std::fmt::Debug for ShardRouter {
 impl ShardRouter {
     /// A router over the given runtimes with [`DEFAULT_VNODES`] virtual
     /// nodes per shard.
-    pub fn new(shards: Vec<Arc<Runtime>>) -> ShardRouter {
-        ShardRouter::with_vnodes(shards, DEFAULT_VNODES)
-    }
-
-    /// A router with an explicit virtual-node count.
     ///
     /// # Panics
     ///
     /// When `shards` is empty — a router with nothing to route to is a
     /// construction bug, not a runtime condition.
-    pub fn with_vnodes(shards: Vec<Arc<Runtime>>, vnodes: usize) -> ShardRouter {
+    pub fn new(shards: Vec<Arc<Runtime>>) -> ShardRouter {
         assert!(!shards.is_empty(), "a shard router needs at least one runtime");
-        let ring = HashRing::new(shards.len(), vnodes);
+        let ring = HashRing::new(shards.len(), DEFAULT_VNODES);
         let placements = (0..shards.len()).map(|_| AtomicU64::new(0)).collect();
         ShardRouter { shards, ring, placements, lookups: AtomicU64::new(0) }
     }

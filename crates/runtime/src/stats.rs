@@ -171,8 +171,7 @@ pub struct RuntimeStats {
 
 /// A point-in-time snapshot of the reactor's event-loop accounting (all
 /// ingest threads summed), carried in
-/// [`crate::serve::ServerStats::reactor`] when the server runs in
-/// [`crate::serve::ServerMode::Reactor`].
+/// [`crate::serve::ServerStats::reactor`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ReactorStats {
     /// File descriptors currently registered with the event loop

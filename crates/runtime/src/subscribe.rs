@@ -26,7 +26,7 @@
 //!   from a private engine's.
 //! * **Mid-stream attach.** Covered queries attach instantly (attribution
 //!   only). Novel queries trigger an engine swap at the next chunk boundary
-//!   ([`crate::pool::EngineSwap`]): the joiner replays the stream's open-tag
+//!   (the pool's `EngineSwap`): the joiner replays the stream's open-tag
 //!   path into the merged transducer ([`ppt_core::join::PrefixFolder::resume`])
 //!   and continues — no re-reading, no second pass. A mid-stream subscriber
 //!   sees matches whose element opens at or after its swap boundary.

@@ -614,10 +614,11 @@ pub enum WireFormat {
 ///
 /// [`WireSink::new`] copies: each frame is encoded contiguously into a
 /// scratch buffer and written with a single `write_all` — the right shape
-/// for blocking sockets and in-process writers. [`WireSink::new_vectored`]
-/// instead splits each frame into header bytes plus a [`PayloadRef`]
-/// borrowing the retained windows, and queues it on a [`FrameWrite`]
-/// destination (the reactor outbox) — the payload bytes are never copied;
+/// for in-process writers (`Runtime::serve_reader`, a file, a buffer).
+/// [`WireSink::new_vectored`] instead splits each frame into header bytes
+/// plus a [`PayloadRef`] borrowing the retained windows, and queues it on a
+/// [`FrameWrite`] destination (the TCP server's per-connection outbox) —
+/// the payload bytes are never copied;
 /// the destination writes them straight out of the retention windows with
 /// vectored I/O. Binary frames always borrow; JSON frames borrow when every
 /// payload byte encodes as itself in a JSON string (printable ASCII minus

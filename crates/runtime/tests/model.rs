@@ -18,9 +18,9 @@
 //!   — snapshots never undercount their own buckets and totals are
 //!   conserved once writers drain;
 //! - the `Gate` connection-admission credit protocol
-//!   (`crates/runtime/src/serve.rs`) — slots are conserved (no double-free,
-//!   never above capacity), `close` wakes every sleeper, and no
-//!   interleaving deadlocks;
+//!   (`crates/runtime/src/serve.rs`) — ingest threads acquiring and
+//!   releasing around a concurrent `close` conserve slots (no double-free,
+//!   never above capacity);
 //! - the `delivering`-flag drop-accounting race between the joiner panic
 //!   path and the session guard (`crates/runtime/src/session.rs` /
 //!   `crates/runtime/src/reactor.rs`) — exactly one side accounts the
@@ -151,7 +151,7 @@ fn explore(model: &mut dyn Model, max_preemptions: usize) -> Explored {
 }
 
 // ---------------------------------------------------------------------------
-// A modelled mutex + condvar (used by the seqlock-writer and Gate models)
+// A modelled mutex + condvar (used by the seqlock-writer and relay models)
 // ---------------------------------------------------------------------------
 
 /// One mutex and one condvar, at model granularity.
@@ -478,8 +478,8 @@ impl Model for SeqlockModel {
 }
 
 /// Single writer (two back-to-back records) vs. one snapshot reader: the
-/// protocol the reactor mode runs (`record` is only called from the event
-/// loop there). Every validated snapshot must be consistent.
+/// protocol a one-ingest-thread server runs (`record` is only called from
+/// its event loop). Every validated snapshot must be consistent.
 #[test]
 fn seqlock_single_writer_never_torn() {
     let mut m = SeqlockModel::new(1, 2, false);
@@ -495,9 +495,10 @@ fn seqlock_single_writer_never_torn() {
 
 /// Teeth: two unserialized writers break epoch parity (both bump the epoch
 /// to an even value while counters are still mid-update), so some
-/// interleaving yields a *validated* torn snapshot. This is the bug the
-/// PR-8 audit found in thread-per-connection mode; the exhaustive search
-/// must find it, proving the harness can catch the regression.
+/// interleaving yields a *validated* torn snapshot — the bug concurrent
+/// recorders (several ingest threads closing connections) would hit; the
+/// exhaustive search must find it, proving the harness can catch the
+/// regression.
 #[test]
 fn seqlock_two_writers_unserialized_tears() {
     let mut m = SeqlockModel::new(2, 1, false);
@@ -683,69 +684,81 @@ fn histogram_merge_conserves_counts() {
 // Model: the Gate connection-admission credit protocol (serve.rs)
 // ---------------------------------------------------------------------------
 //
-// Mirrors crates/runtime/src/serve.rs `Gate`: a mutex-guarded slot count, a
-// condvar, and a `closed` flag. `acquire` loops {closed? -> false; slots>0?
-// -> take one; else wait}; `release` adds a slot back and notifies one;
-// `close` sets the flag and notifies all. The invariants: the slot count
-// never exceeds capacity (a double-release would), successful acquires and
-// releases balance, a `false` acquire never releases, and — because the
-// explorer treats a stuck schedule as failure — no interleaving strands a
-// sleeper after `close` (the lost-wakeup class of bug).
+// Mirrors crates/runtime/src/serve.rs `Gate`, which never blocks: a
+// mutex-guarded slot count and a `closed` flag. `try_acquire` loads `closed`
+// (set -> false), then under the lock takes a slot or finds none free;
+// `release` adds a slot back under the lock; `close` stores the flag. Each
+// modelled ingest thread admits connections: it calls `try_acquire` up to
+// `attempts` times, and every slot it wins is a live connection it later
+// releases. (In the reactor only ingest thread 0 acquires and whichever
+// thread owns the connection releases; letting every thread do both is a
+// superset of those schedules.) A closer races them all. The invariants: the
+// slot count never exceeds capacity (a double-release would), every missing
+// slot is held by exactly one live connection, an acquire that saw the gate
+// closed stops admitting, and the slots are all back at quiescence.
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum GatePc {
-    /// acquire: take the mutex.
-    AcqLock,
-    /// acquire: the guarded check-closed / take-slot / wait decision.
-    AcqDecide,
-    /// Parked in `cv.wait`; re-acquires the lock when notified.
-    AcqWaiting,
-    /// Critical section: holds one slot, will release it.
-    HoldSlot,
-    /// release: take the mutex, add the slot back, notify one.
+    /// try_acquire: the `closed` load.
+    LoadClosed,
+    /// try_acquire: under the lock, take a slot or find none free.
+    TakeSlot,
+    /// Holds one slot (a live connection); release: under the lock, add it
+    /// back.
     Release,
     Done,
 }
 
 struct GateModel {
     capacity: usize,
-    acquirers: usize,
+    threads: usize,
+    attempts: usize,
     /// Inject a double-release in thread 0 (teeth test).
     double_release: bool,
     slots: usize,
     closed: bool,
-    lock: MiniLock,
     pc: Vec<GatePc>,
-    acquired_ok: Vec<bool>,
+    tried: Vec<usize>,
+    acquired: Vec<usize>,
     released: Vec<usize>,
-    /// Closer pc: 0 set closed + notify all (one guarded step), 1 done.
-    closer_pc: u8,
-    /// Accumulated across executions: at least one schedule must see a
-    /// thread actually park, or the wait path was never exercised.
-    ever_waited: bool,
-    ever_rejected: bool,
+    closer_done: bool,
+    /// Accumulated across executions: some schedule must find the gate full
+    /// and some must find it closed, or those paths were never exercised.
+    ever_full: bool,
+    ever_closed: bool,
 }
 
 impl GateModel {
-    fn new(capacity: usize, acquirers: usize, double_release: bool) -> GateModel {
+    fn new(capacity: usize, threads: usize, attempts: usize, double_release: bool) -> GateModel {
         GateModel {
             capacity,
-            acquirers,
+            threads,
+            attempts,
             double_release,
             slots: capacity,
             closed: false,
-            lock: MiniLock::default(),
             pc: Vec::new(),
-            acquired_ok: Vec::new(),
+            tried: Vec::new(),
+            acquired: Vec::new(),
             released: Vec::new(),
-            closer_pc: 0,
-            ever_waited: false,
-            ever_rejected: false,
+            closer_done: false,
+            ever_full: false,
+            ever_closed: false,
         }
     }
 
     fn closer_tid(&self) -> usize {
-        self.acquirers
+        self.threads
+    }
+
+    /// After a refused or finished admission: the next `try_acquire`, if
+    /// the thread has attempts left.
+    fn next_attempt(&self, tid: usize) -> GatePc {
+        if self.tried[tid] < self.attempts {
+            GatePc::LoadClosed
+        } else {
+            GatePc::Done
+        }
     }
 }
 
@@ -753,98 +766,72 @@ impl Model for GateModel {
     fn reset(&mut self) {
         self.slots = self.capacity;
         self.closed = false;
-        self.lock.reset();
-        self.pc = vec![GatePc::AcqLock; self.acquirers];
-        self.acquired_ok = vec![false; self.acquirers];
-        self.released = vec![0; self.acquirers];
-        self.closer_pc = 0;
+        self.pc = vec![GatePc::LoadClosed; self.threads];
+        self.tried = vec![0; self.threads];
+        self.acquired = vec![0; self.threads];
+        self.released = vec![0; self.threads];
+        self.closer_done = false;
     }
 
     fn thread_count(&self) -> usize {
-        self.acquirers + 1
+        self.threads + 1
     }
 
     fn is_done(&self, tid: usize) -> bool {
         if tid == self.closer_tid() {
-            self.closer_pc == 1
+            self.closer_done
         } else {
             self.pc[tid] == GatePc::Done
         }
     }
 
-    fn is_enabled(&self, tid: usize) -> bool {
-        if tid == self.closer_tid() {
-            return self.lock.lock_free();
-        }
-        match self.pc[tid] {
-            GatePc::AcqLock | GatePc::Release => self.lock.acquirable(tid),
-            GatePc::AcqWaiting => self.lock.rewakeable(tid),
-            // AcqDecide/HoldSlot happen while holding (or without) the lock.
-            GatePc::AcqDecide => self.lock.holder == Some(tid),
-            GatePc::HoldSlot => true,
-            GatePc::Done => false,
-        }
+    fn is_enabled(&self, _tid: usize) -> bool {
+        // Nothing in the protocol waits: every critical section is one step.
+        true
     }
 
     fn step(&mut self, tid: usize) {
         if tid == self.closer_tid() {
-            // serve.rs Gate::close: `closed.store(true, SeqCst)` +
-            // `cv.notify_all()`. The real store happens outside the mutex;
-            // the model takes the free lock for one step so the wake and the
-            // flag are one action — the waiters re-check `closed` under the
-            // lock either way, which is what the invariant relies on.
-            self.lock.acquire(tid);
+            // serve.rs Gate::close: `closed.store(true, SeqCst)`.
             self.closed = true;
-            self.lock.notify_all();
-            self.lock.unlock(tid);
-            self.closer_pc = 1;
+            self.closer_done = true;
             return;
         }
         self.pc[tid] = match self.pc[tid] {
-            GatePc::AcqLock => {
-                // serve.rs Gate::acquire: `lock_recover(&self.slots)`.
-                self.lock.acquire(tid);
-                GatePc::AcqDecide
-            }
-            GatePc::AcqWaiting => {
-                // Condvar wakeup: re-acquire the lock, loop to the re-check.
-                self.lock.acquire(tid);
-                GatePc::AcqDecide
-            }
-            GatePc::AcqDecide => {
+            GatePc::LoadClosed => {
+                self.tried[tid] += 1;
                 if self.closed {
-                    // serve.rs Gate::acquire: `closed` observed -> false.
-                    self.lock.unlock(tid);
-                    self.ever_rejected = true;
+                    // serve.rs Gate::try_acquire: `closed` observed -> false;
+                    // a shutting-down reactor stops accepting for good.
+                    self.ever_closed = true;
                     GatePc::Done
-                } else if self.slots > 0 {
-                    // serve.rs Gate::acquire: `*slots -= 1; return true`.
-                    self.slots -= 1;
-                    self.acquired_ok[tid] = true;
-                    self.lock.unlock(tid);
-                    GatePc::HoldSlot
                 } else {
-                    // serve.rs Gate::acquire: `wait_recover(&self.cv, slots)`.
-                    self.lock.wait(tid);
-                    self.ever_waited = true;
-                    GatePc::AcqWaiting
+                    GatePc::TakeSlot
                 }
             }
-            GatePc::HoldSlot => GatePc::Release,
+            GatePc::TakeSlot => {
+                // serve.rs Gate::try_acquire: under `lock_recover(&self.slots)`,
+                // `*slots == 0 -> false`, else `*slots -= 1; true`.
+                if self.slots == 0 {
+                    self.ever_full = true;
+                    self.next_attempt(tid)
+                } else {
+                    self.slots -= 1;
+                    self.acquired[tid] += 1;
+                    GatePc::Release
+                }
+            }
             GatePc::Release => {
-                // serve.rs Gate::release: `*slots += 1; cv.notify_one()`.
-                self.lock.acquire(tid);
+                // serve.rs Gate::release: `*lock_recover(&self.slots).0 += 1`.
                 self.slots += 1;
                 self.released[tid] += 1;
-                self.lock.notify_one();
-                self.lock.unlock(tid);
                 if self.double_release && tid == 0 && self.released[tid] == 1 {
                     GatePc::Release
                 } else {
-                    GatePc::Done
+                    self.next_attempt(tid)
                 }
             }
-            GatePc::Done => unreachable!("stepped a finished acquirer"),
+            GatePc::Done => unreachable!("stepped a finished ingest thread"),
         };
     }
 
@@ -856,12 +843,8 @@ impl Model for GateModel {
             self.capacity
         );
         // Credit conservation: every missing slot is held by exactly one
-        // thread between its successful acquire and its release.
-        let held: usize = (0..self.acquirers)
-            .filter(|&t| {
-                self.acquired_ok[t] && matches!(self.pc[t], GatePc::HoldSlot | GatePc::Release)
-            })
-            .count();
+        // live connection, between its successful acquire and its release.
+        let held = self.pc.iter().filter(|&&pc| pc == GatePc::Release).count();
         assert_eq!(
             self.capacity - self.slots,
             held,
@@ -873,51 +856,55 @@ impl Model for GateModel {
 
     fn at_end(&self) {
         assert_eq!(self.slots, self.capacity, "slots not restored at quiescence");
-        for t in 0..self.acquirers {
-            if self.acquired_ok[t] {
-                assert_eq!(self.released[t], 1, "holder {t} released {} times", self.released[t]);
-            } else {
-                assert_eq!(self.released[t], 0, "rejected thread {t} released a slot");
-            }
+        for t in 0..self.threads {
+            assert_eq!(
+                self.acquired[t], self.released[t],
+                "thread {t} acquired {} slots and released {}",
+                self.acquired[t], self.released[t]
+            );
         }
     }
 }
 
-/// Three acquirers racing for one slot while the server closes: slots are
-/// conserved in every interleaving, no sleeper is stranded (the explorer's
-/// deadlock check), and both the wait path and the closed-rejection path
-/// are actually exercised somewhere in the state space.
+/// Three ingest threads racing for one slot while the server closes, full
+/// search: slots are conserved in every interleaving, and both the
+/// gate-full and the gate-closed refusals are exercised somewhere in the
+/// state space. At three steps per admission (load `closed`, take a slot,
+/// release it) and one for the close, the complete search is exactly 2 934
+/// interleavings; the floor pins that.
 #[test]
 fn gate_credits_conserved_under_close() {
-    let mut m = GateModel::new(1, 3, false);
+    let mut m = GateModel::new(1, 3, 1, false);
     let explored = explore(&mut m, usize::MAX);
-    assert!(m.ever_waited, "no schedule ever parked on the condvar");
-    assert!(m.ever_rejected, "no schedule ever observed the closed gate");
+    assert!(m.ever_full, "no schedule ever found the gate full");
+    assert!(m.ever_closed, "no schedule ever observed the closed gate");
     assert!(
-        explored.executions >= 1000,
+        explored.executions >= 2_934,
         "state space collapsed: only {} interleavings",
         explored.executions
     );
 }
 
-/// Two slots, three acquirers, bounded preemption (the bigger space): the
-/// conservation invariant holds on every explored schedule.
+/// Two slots, three ingest threads admitting two connections each,
+/// bounded preemption (the bigger space): the conservation invariant holds
+/// on every explored schedule — exactly 37 830 of them at three
+/// preemptions.
 #[test]
 fn gate_two_slots_bounded_preemption() {
-    let mut m = GateModel::new(2, 3, false);
+    let mut m = GateModel::new(2, 3, 2, false);
     let explored = explore(&mut m, 3);
     assert!(
-        explored.executions >= 1000,
+        explored.executions >= 37_830,
         "state space collapsed: only {} interleavings",
         explored.executions
     );
 }
 
-/// Teeth: a client that releases twice must trip the conservation checks —
+/// Teeth: a connection released twice must trip the conservation checks —
 /// proving the invariant actually guards against double-freeing a slot.
 #[test]
 fn gate_double_release_is_caught() {
-    let mut m = GateModel::new(1, 2, true);
+    let mut m = GateModel::new(1, 2, 1, true);
     let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         explore(&mut m, usize::MAX);
     }));

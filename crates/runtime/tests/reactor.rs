@@ -1,4 +1,4 @@
-//! The poll(2) reactor serving mode, exercised over real localhost sockets:
+//! The poll(2) reactor behind the server, exercised over real localhost sockets:
 //! byte-correctness against the batch engine across both wire formats and
 //! multiple ingest threads, partial handshake lines spread over many
 //! readiness events, outbox backpressure bounding both the egress buffer and
@@ -10,7 +10,7 @@
 
 use ppt_core::Engine;
 use ppt_runtime::serve::{register, TcpServer};
-use ppt_runtime::{Frame, FrameDecoder, HandshakeRequest, Runtime, ServerMode, WireFormat};
+use ppt_runtime::{Frame, FrameDecoder, HandshakeRequest, Runtime, WireFormat};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -142,7 +142,6 @@ fn reactor_serves_both_formats_across_multiple_ingest_threads() {
 
     let runtime = Arc::new(Runtime::builder().workers(2).inflight_chunks(8).build());
     let server = TcpServer::builder()
-        .mode(ServerMode::Reactor)
         .ingest_threads(2)
         .join_threads(2)
         .chunk_size(512)
@@ -177,7 +176,7 @@ fn reactor_serves_both_formats_across_multiple_ingest_threads() {
     assert_eq!(stats.sessions_completed, 3);
     assert_eq!(stats.sessions_failed, 0);
     assert_eq!(stats.active, 0);
-    let reactor = stats.reactor.expect("reactor mode reports event-loop stats");
+    let reactor = stats.reactor;
     assert!(reactor.polls > 0, "the loop polled: {reactor:?}");
     assert!(reactor.wakeups > 0, "credit returns woke the loop: {reactor:?}");
     assert!(reactor.readiness_dispatches > 0, "sockets reported readiness: {reactor:?}");
@@ -194,7 +193,6 @@ fn partial_handshake_lines_across_many_readiness_events() {
 
     let runtime = Arc::new(Runtime::builder().workers(1).build());
     let server = TcpServer::builder()
-        .mode(ServerMode::Reactor)
         .chunk_size(256)
         .window_size(1024)
         .bind("127.0.0.1:0", runtime)
@@ -252,7 +250,6 @@ fn outbox_backpressure_parks_the_fold_and_bounds_memory() {
 
     let runtime = Arc::new(Runtime::builder().workers(2).inflight_chunks(2).build());
     let server = TcpServer::builder()
-        .mode(ServerMode::Reactor)
         .max_outbox_bytes(outbox_cap)
         .chunk_size(512)
         .window_size(2048)
@@ -267,7 +264,7 @@ fn outbox_backpressure_parks_the_fold_and_bounds_memory() {
     assert_frames_match(&frames, expected, Some(&doc));
 
     let stats = server.shutdown();
-    let reactor = stats.reactor.expect("reactor stats");
+    let reactor = stats.reactor;
     // Soft cap: the outbox may overshoot by one fold's worth of frames (one
     // chunk's matches), never by more.
     let one_fold_slack = 8 << 10;
@@ -298,7 +295,6 @@ fn mid_stream_hangup_poisons_only_that_session() {
 
     let runtime = Arc::new(Runtime::builder().workers(2).inflight_chunks(4).build());
     let server = TcpServer::builder()
-        .mode(ServerMode::Reactor)
         .chunk_size(256)
         .window_size(2048)
         .bind("127.0.0.1:0", runtime)
@@ -356,7 +352,6 @@ fn poisoned_session_releases_borrowed_egress_refcounts() {
 
     let runtime = Arc::new(Runtime::builder().workers(2).inflight_chunks(4).build());
     let server = TcpServer::builder()
-        .mode(ServerMode::Reactor)
         .max_outbox_bytes(1 << 20)
         .chunk_size(64 << 10)
         .window_size(64 << 10)
@@ -403,14 +398,14 @@ fn poisoned_session_releases_borrowed_egress_refcounts() {
 
 /// The shutdown regression: the old wake-up was a self-connect, which can
 /// block against a saturated backlog exactly when the server is at
-/// `max_connections`. Both modes now wake the accept side through the
-/// reactor's eventfd, so shutdown must complete promptly even while the
-/// admission gate is fully exhausted by an in-flight session.
-fn shutdown_completes_while_gate_exhausted(mode: ServerMode) {
+/// `max_connections`. Shutdown wakes the ingest threads through their
+/// eventfds, so it must complete promptly even while the admission gate is
+/// fully exhausted by an in-flight session.
+#[test]
+fn shutdown_completes_while_gate_exhausted_reactor() {
     let doc = Arc::new(make_doc(200));
     let runtime = Arc::new(Runtime::builder().workers(1).build());
     let server = TcpServer::builder()
-        .mode(mode)
         .max_connections(1)
         .chunk_size(256)
         .window_size(1024)
@@ -451,16 +446,6 @@ fn shutdown_completes_while_gate_exhausted(mode: ServerMode) {
     assert_eq!(stats.active, 0);
 }
 
-#[test]
-fn shutdown_completes_while_gate_exhausted_reactor() {
-    shutdown_completes_while_gate_exhausted(ServerMode::Reactor);
-}
-
-#[test]
-fn shutdown_completes_while_gate_exhausted_thread_per_conn() {
-    shutdown_completes_while_gate_exhausted(ServerMode::ThreadPerConn);
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -480,7 +465,6 @@ proptest! {
         let expected = batch_reference(&["//item/k"], &doc);
         let runtime = Arc::new(Runtime::builder().workers(1).inflight_chunks(2).build());
         let server = TcpServer::builder()
-            .mode(ServerMode::Reactor)
             .max_outbox_bytes(1 << 10)
             .chunk_size(128)
             .window_size(512)

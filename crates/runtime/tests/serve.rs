@@ -6,9 +6,7 @@
 
 use ppt_core::Engine;
 use ppt_runtime::serve::{register, ClientError, TcpServer};
-use ppt_runtime::{
-    Frame, FrameDecoder, HandshakeDecoder, HandshakeRequest, Runtime, ServerMode, WireFormat,
-};
+use ppt_runtime::{Frame, FrameDecoder, HandshakeDecoder, HandshakeRequest, Runtime, WireFormat};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -135,15 +133,16 @@ fn assert_frames_match(
     assert!(expected.is_empty(), "batch matches never served: {expected:?}");
 }
 
-/// The end-to-end equivalence run, shared by both serving modes.
-fn serves_json_and_binary_clients_concurrently(mode: ServerMode) {
+/// The end-to-end equivalence run: a JSON-lines and a binary client served
+/// concurrently, both byte-identical to the batch engine.
+#[test]
+fn serves_json_and_binary_clients_concurrently_reactor() {
     let queries = ["//item/k", "/stream/item/id"];
     let doc = Arc::new(make_doc(300));
     let expected = batch_reference(&queries, &doc);
 
     let runtime = Arc::new(Runtime::builder().workers(2).inflight_chunks(8).build());
     let server = TcpServer::builder()
-        .mode(mode)
         .chunk_size(512)
         .window_size(4096)
         .bind("127.0.0.1:0", runtime)
@@ -173,23 +172,12 @@ fn serves_json_and_binary_clients_concurrently(mode: ServerMode) {
     assert_eq!(stats.sessions_failed, 0);
     assert_eq!(stats.active, 0);
     assert_eq!(stats.connections.len(), 2);
-    assert_eq!(stats.reactor.is_some(), mode == ServerMode::Reactor && cfg!(unix));
     for conn in &stats.connections {
         let report = conn.report.as_ref().expect("clean close keeps the report");
         assert!(report.error.is_none());
         assert_eq!(report.stats.payload_misses, 0);
         assert_eq!(conn.queries, queries);
     }
-}
-
-#[test]
-fn serves_json_and_binary_clients_concurrently_reactor() {
-    serves_json_and_binary_clients_concurrently(ServerMode::default());
-}
-
-#[test]
-fn serves_json_and_binary_clients_concurrently_thread_per_conn() {
-    serves_json_and_binary_clients_concurrently(ServerMode::ThreadPerConn);
 }
 
 #[test]
@@ -342,10 +330,11 @@ fn slow_client_backpressure_bounds_retention_under_its_budget() {
 /// used to both get stream 0 — indistinguishable to a consumer aggregating
 /// several connections. The server must assign distinct, nonzero ids, echo
 /// them in the `OK` line, and stamp them on every frame.
-fn default_handshakes_get_distinct_stream_ids(mode: ServerMode) {
+#[test]
+fn default_handshakes_get_distinct_stream_ids_reactor() {
     let doc = Arc::new(make_doc(40));
     let runtime = Arc::new(Runtime::builder().workers(1).build());
-    let server = TcpServer::builder().mode(mode).bind("127.0.0.1:0", runtime).expect("bind");
+    let server = TcpServer::builder().bind("127.0.0.1:0", runtime).expect("bind");
     let addr = server.local_addr();
 
     let mut seen = Vec::new();
@@ -367,28 +356,18 @@ fn default_handshakes_get_distinct_stream_ids(mode: ServerMode) {
     assert_ne!(reported[0], reported[1], "reports carry the assigned ids too");
 }
 
-#[test]
-fn default_handshakes_get_distinct_stream_ids_reactor() {
-    default_handshakes_get_distinct_stream_ids(ServerMode::default());
-}
-
-#[test]
-fn default_handshakes_get_distinct_stream_ids_thread_per_conn() {
-    default_handshakes_get_distinct_stream_ids(ServerMode::ThreadPerConn);
-}
-
 /// Regression (post-handshake liveness): a client that registers and then
 /// goes silent — no FIN, no bytes, never reads — used to hold its session,
 /// its gate credit and its retention forever; the deadline machinery only
 /// covered the handshake phase. With `idle_timeout` set, the session is
 /// poisoned (alone) and the admission slot comes back.
-fn silent_client_is_timed_out_and_frees_its_slot(mode: ServerMode) {
+#[test]
+fn silent_client_is_timed_out_and_frees_its_slot_reactor() {
     let doc = Arc::new(make_doc(60));
     let expected = batch_reference(&["//item/k"], &doc);
 
     let runtime = Arc::new(Runtime::builder().workers(1).build());
     let server = TcpServer::builder()
-        .mode(mode)
         .max_connections(1) // the silent client holds the only slot
         .idle_timeout(Some(Duration::from_millis(200)))
         .bind("127.0.0.1:0", runtime)
@@ -467,7 +446,6 @@ fn pipeline_stalled_live_client_is_not_idle_killed() {
     // passes trivially rather than flaking.
     let runtime = Arc::new(Runtime::builder().workers(1).inflight_chunks(4).build());
     let server = TcpServer::builder()
-        .mode(ServerMode::default())
         .chunk_size(1 << 20)
         .window_size(2 << 20)
         .idle_timeout(Some(idle))
@@ -546,16 +524,6 @@ fn pipeline_stalled_live_client_is_not_idle_killed() {
         stats.sessions_failed, 0,
         "a pipeline stall must not read as client death: {stats:?}"
     );
-}
-
-#[test]
-fn silent_client_is_timed_out_and_frees_its_slot_reactor() {
-    silent_client_is_timed_out_and_frees_its_slot(ServerMode::default());
-}
-
-#[test]
-fn silent_client_is_timed_out_and_frees_its_slot_thread_per_conn() {
-    silent_client_is_timed_out_and_frees_its_slot(ServerMode::ThreadPerConn);
 }
 
 proptest! {
@@ -648,7 +616,8 @@ fn read_frames(mut stream: TcpStream, format: WireFormat) -> Vec<Frame> {
 /// the owner's transducer pass: `OK ATTACH`, connection-local query ids, and
 /// frames byte-identical to what a private engine over the same queries
 /// would have produced — including retained payload slices.
-fn late_attacher_shares_the_stream_and_gets_byte_identical_frames(mode: ServerMode) {
+#[test]
+fn late_attacher_shares_the_stream_reactor() {
     let owner_queries = ["//item/k", "/stream/item/id"];
     // Overlaps the owner on one query, adds one of its own, and numbers them
     // in its own order: local ids, not the merged automaton's.
@@ -659,7 +628,6 @@ fn late_attacher_shares_the_stream_and_gets_byte_identical_frames(mode: ServerMo
 
     let runtime = Arc::new(Runtime::builder().workers(2).inflight_chunks(8).build());
     let server = TcpServer::builder()
-        .mode(mode)
         .chunk_size(512)
         .window_size(4096)
         .bind("127.0.0.1:0", runtime)
@@ -716,25 +684,16 @@ fn late_attacher_shares_the_stream_and_gets_byte_identical_frames(mode: ServerMo
     assert_eq!(report.stats.dropped_matches, 0, "a draining subscriber sheds nothing");
 }
 
-#[test]
-fn late_attacher_shares_the_stream_reactor() {
-    late_attacher_shares_the_stream_and_gets_byte_identical_frames(ServerMode::default());
-}
-
-#[test]
-fn late_attacher_shares_the_stream_thread_per_conn() {
-    late_attacher_shares_the_stream_and_gets_byte_identical_frames(ServerMode::ThreadPerConn);
-}
-
 /// An attach batch with a malformed query is refused with the same `ERR`
 /// shape a fresh handshake would get, and the incumbent stream is unharmed.
-fn attach_with_a_bad_query_is_rejected_without_harming_the_stream(mode: ServerMode) {
+#[test]
+fn attach_with_a_bad_query_is_rejected_reactor() {
     let queries = ["//item/k"];
     let doc = Arc::new(make_doc(60));
     let expected = batch_reference(&queries, &doc);
 
     let runtime = Arc::new(Runtime::builder().workers(1).build());
-    let server = TcpServer::builder().mode(mode).bind("127.0.0.1:0", runtime).expect("bind");
+    let server = TcpServer::builder().bind("127.0.0.1:0", runtime).expect("bind");
     let addr = server.local_addr();
 
     let mut owner = TcpStream::connect(addr).expect("owner connect");
@@ -762,25 +721,16 @@ fn attach_with_a_bad_query_is_rejected_without_harming_the_stream(mode: ServerMo
     server.shutdown();
 }
 
-#[test]
-fn attach_with_a_bad_query_is_rejected_reactor() {
-    attach_with_a_bad_query_is_rejected_without_harming_the_stream(ServerMode::default());
-}
-
-#[test]
-fn attach_with_a_bad_query_is_rejected_thread_per_conn() {
-    attach_with_a_bad_query_is_rejected_without_harming_the_stream(ServerMode::ThreadPerConn);
-}
-
 /// Once the owner finishes, the id names nothing: the next connection with
 /// the same id is a fresh owner, not an attacher.
-fn a_finished_stream_id_is_reusable_by_a_fresh_owner(mode: ServerMode) {
+#[test]
+fn a_finished_stream_id_is_reusable_reactor() {
     let queries = ["//item/k"];
     let doc = Arc::new(make_doc(40));
     let expected = batch_reference(&queries, &doc);
 
     let runtime = Arc::new(Runtime::builder().workers(1).build());
-    let server = TcpServer::builder().mode(mode).bind("127.0.0.1:0", runtime).expect("bind");
+    let server = TcpServer::builder().bind("127.0.0.1:0", runtime).expect("bind");
     let addr = server.local_addr();
 
     for round in 0..2 {
@@ -799,14 +749,4 @@ fn a_finished_stream_id_is_reusable_by_a_fresh_owner(mode: ServerMode) {
         assert_frames_match(&frames, expected.clone(), Some(&doc));
     }
     server.shutdown();
-}
-
-#[test]
-fn a_finished_stream_id_is_reusable_reactor() {
-    a_finished_stream_id_is_reusable_by_a_fresh_owner(ServerMode::default());
-}
-
-#[test]
-fn a_finished_stream_id_is_reusable_thread_per_conn() {
-    a_finished_stream_id_is_reusable_by_a_fresh_owner(ServerMode::ThreadPerConn);
 }

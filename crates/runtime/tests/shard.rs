@@ -7,7 +7,7 @@
 use ppt_core::Engine;
 use ppt_runtime::serve::{register, TcpServer};
 use ppt_runtime::shard::{forward, HashRing};
-use ppt_runtime::{Frame, FrameDecoder, HandshakeRequest, Runtime, ServerMode, WireFormat};
+use ppt_runtime::{Frame, FrameDecoder, HandshakeRequest, Runtime, WireFormat};
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
@@ -181,8 +181,7 @@ fn sharded_serving_is_byte_identical_to_single_runtime() {
 
     let bind = |shards: usize| {
         let runtime = Arc::new(Runtime::builder().workers(1).inflight_chunks(4).build());
-        let mut builder =
-            TcpServer::builder().mode(ServerMode::Reactor).chunk_size(512).window_size(4096);
+        let mut builder = TcpServer::builder().chunk_size(512).window_size(4096);
         if shards > 1 {
             builder = builder.shards(shards).shard_workers(1);
         }
@@ -262,43 +261,6 @@ fn sharded_serving_is_byte_identical_to_single_runtime() {
     assert_eq!(single_stats.router.placements, placed);
 }
 
-#[test]
-fn sharded_thread_per_conn_routes_and_serves_identically() {
-    let queries = ["//item/k"];
-    let doc = make_doc(120);
-    let expected = batch_reference(&queries, &doc);
-
-    let runtime = Arc::new(Runtime::builder().workers(1).inflight_chunks(4).build());
-    let server = TcpServer::builder()
-        .mode(ServerMode::ThreadPerConn)
-        .shards(3)
-        .shard_workers(1)
-        .chunk_size(512)
-        .window_size(4096)
-        .bind("127.0.0.1:0", runtime)
-        .expect("bind");
-
-    for id in [7u64, 8, 9, 10] {
-        let request = HandshakeRequest::new(WireFormat::JsonLines).query(queries[0]).stream_id(id);
-        let (confirmed, frames) = run_client(server.local_addr(), request, &doc);
-        assert_eq!(confirmed, id);
-        let mut remaining = expected.clone();
-        for f in &frames {
-            let key = (f.query, f.start, f.end);
-            let n = remaining.get_mut(&key).expect("frame matches a batch result");
-            *n -= 1;
-            if *n == 0 {
-                remaining.remove(&key);
-            }
-        }
-        assert!(remaining.is_empty());
-    }
-    let stats = server.shutdown();
-    assert_eq!(stats.shards.len(), 3);
-    assert_eq!(stats.router.placements, 4);
-    assert_eq!(stats.sessions_completed, 4);
-}
-
 // ---------------------------------------------------------------------------
 // Cross-process forwarding
 // ---------------------------------------------------------------------------
@@ -367,7 +329,6 @@ fn shared_stream_subscribers_place_on_the_owners_shard() {
 
     let runtime = Arc::new(Runtime::builder().workers(1).inflight_chunks(4).build());
     let server = TcpServer::builder()
-        .mode(ServerMode::ThreadPerConn)
         .shards(4)
         .shard_workers(1)
         .chunk_size(512)

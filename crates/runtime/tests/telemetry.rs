@@ -4,7 +4,7 @@
 //! journal, and a property test that scraping never tears a histogram that
 //! is being recorded into concurrently.
 
-use ppt_runtime::serve::{register, scrape, ServerMode, TcpServer};
+use ppt_runtime::serve::{register, scrape, TcpServer};
 use ppt_runtime::telemetry::{Histogram, HISTOGRAM_BUCKETS};
 use ppt_runtime::{HandshakeRequest, Runtime, WireFormat};
 use proptest::prelude::*;
@@ -81,12 +81,10 @@ fn value(page: &str, name: &str) -> f64 {
 // ---------------------------------------------------------------------------
 
 #[test]
-#[cfg(unix)]
 fn stats_verb_reconciles_per_shard_labels_with_router_totals() {
     let shards = 4;
     let runtime = Arc::new(Runtime::builder().workers(2).build());
     let server = TcpServer::builder()
-        .mode(ServerMode::Reactor)
         .shards(shards)
         .shard_workers(2)
         .chunk_size(512)
@@ -149,25 +147,6 @@ fn stats_verb_reconciles_per_shard_labels_with_router_totals() {
     assert_eq!(value(&page, "ppt_handshake_rejects_total") as u64, 0);
     assert_eq!(server.stats().handshake_rejects, 0);
     server.shutdown();
-}
-
-#[test]
-fn stats_verb_works_in_thread_per_conn_mode() {
-    let runtime = Arc::new(Runtime::builder().workers(2).build());
-    let server = TcpServer::builder()
-        .mode(ServerMode::ThreadPerConn)
-        .bind("127.0.0.1:0", runtime)
-        .expect("bind");
-    let addr = server.local_addr();
-    run_client(addr, HandshakeRequest::new(WireFormat::JsonLines).query("//item/k"), &make_doc(20));
-    let page = scrape(addr).expect("STATS scrape");
-    assert_eq!(value(&page, "ppt_sessions_completed_total") as u64, 1);
-    assert_eq!(value(&page, "ppt_scrapes_total") as u64, 1);
-    // No reactor on this server: its families must not appear.
-    assert!(samples(&page, "ppt_reactor_polls_total").is_empty());
-    let stats = server.shutdown();
-    assert_eq!(stats.handshake_rejects, 0, "a scrape is not a reject");
-    assert_eq!(stats.sessions_completed, 1, "a scrape is not a session");
 }
 
 // ---------------------------------------------------------------------------
@@ -245,8 +224,8 @@ fn admin_endpoint_serves_metrics_journal_and_404() {
 /// report is recorded *before* its socket is half-closed, so a client that has
 /// read its frames to EOF finds the session on the very next scrape. (The
 /// half-close used to come first, and this lost the race about one run in
-/// six under load.) Twenty sessions per serving mode, with every core kept
-/// busy alongside so the server threads are descheduled at awkward points.
+/// six under load.) Twenty sessions, with every core kept busy alongside so
+/// the server threads are descheduled at awkward points.
 #[test]
 fn a_session_is_on_the_metrics_page_once_its_client_has_seen_eof() {
     let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
@@ -261,26 +240,21 @@ fn a_session_is_on_the_metrics_page_once_its_client_has_seen_eof() {
             })
         })
         .collect();
-    for mode in [ServerMode::Reactor, ServerMode::ThreadPerConn] {
-        let runtime = Arc::new(Runtime::builder().workers(2).build());
-        let server = TcpServer::builder()
-            .mode(mode)
-            .admin_addr("127.0.0.1:0")
-            .bind("127.0.0.1:0", runtime)
-            .expect("bind");
-        let admin = server.admin_local_addr().expect("admin bound");
-        for session in 1..=20u64 {
-            run_client(
-                server.local_addr(),
-                HandshakeRequest::new(WireFormat::JsonLines).query("//item/k"),
-                &make_doc(10),
-            );
-            let (_, page) = http_get(admin, "/metrics");
-            let completed = value(&page, "ppt_sessions_completed_total") as u64;
-            assert_eq!(completed, session, "{mode:?}: session {session} not yet recorded at EOF");
-        }
-        server.shutdown();
+    let runtime = Arc::new(Runtime::builder().workers(2).build());
+    let server =
+        TcpServer::builder().admin_addr("127.0.0.1:0").bind("127.0.0.1:0", runtime).expect("bind");
+    let admin = server.admin_local_addr().expect("admin bound");
+    for session in 1..=20u64 {
+        run_client(
+            server.local_addr(),
+            HandshakeRequest::new(WireFormat::JsonLines).query("//item/k"),
+            &make_doc(10),
+        );
+        let (_, page) = http_get(admin, "/metrics");
+        let completed = value(&page, "ppt_sessions_completed_total") as u64;
+        assert_eq!(completed, session, "session {session} not yet recorded at EOF");
     }
+    server.shutdown();
     stop.store(true, std::sync::atomic::Ordering::Relaxed);
     for hog in hogs {
         hog.join().expect("busy thread");

@@ -1,9 +1,9 @@
 //! Connection storm: hundreds of concurrent slow clients against the
 //! reactor server, from one process and (almost) no client threads.
 //!
-//! The point being proven: with `ServerMode::Reactor`, serving N slow
-//! connections costs a **fixed** number of threads — the ingest loop, the
-//! join executors and the worker pool — not N of anything. The storm:
+//! The point being proven: serving N slow connections costs a **fixed**
+//! number of threads — the ingest loop, the join executors and the worker
+//! pool — not N of anything. The storm:
 //!
 //! * starts a reactor server (1 ingest thread, 2 join threads, 2 workers);
 //! * connects `clients` nonblocking sockets and drives them all from the
@@ -29,7 +29,6 @@
 
 use pp_xml::prelude::*;
 use pp_xml::runtime::serve::TcpServer;
-use pp_xml::runtime::ServerMode;
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
@@ -126,7 +125,6 @@ fn main() {
 
     let runtime = Arc::new(Runtime::builder().workers(2).inflight_chunks(8).build());
     let server = TcpServer::builder()
-        .mode(ServerMode::Reactor)
         .ingest_threads(1)
         .join_threads(2)
         .shards(shards)
@@ -303,7 +301,7 @@ fn main() {
         stats.frames_out,
         stats.bytes_out as f64 / 1e3,
     );
-    let reactor = stats.reactor.expect("reactor stats");
+    let reactor = stats.reactor;
     println!(
         "reactor: {} polls, {} wakeups, {} dispatches, peak {} fds, peak outbox {} B",
         reactor.polls,

@@ -90,14 +90,18 @@ pub mod prelude {
     pub use ppt_core::engine::{Engine, EngineBuilder, EngineConfig, QueryResult};
     pub use ppt_core::stats::RunStats;
     pub use ppt_runtime::{
-        AttachError, BorrowedMatch, CollectPayloadSink, CollectSink, CollectSubscriber,
-        ConnectionReport, ForwardReport, Frame, FrameDecoder, HandshakeDecoder, HandshakeError,
-        HandshakeReply, HandshakeRequest, HashRing, MatchSink, MatchStream, MaterializedMatch,
-        OnlineMatch, PayloadSink, ReactorStats, Registration, RouterStats, Runtime, RuntimeStats,
-        ServerMode, ServerStats, SessionHandle, SessionManager, SessionOptions, SessionReport,
-        ShardRouter, ShardStats, SharedStreamHandle, StreamControl, SubscriberDelivery,
-        SubscriberId, SubscriberReport, SubscriberSink, TcpServer, TcpServerBuilder, WireFormat,
-        WireServed, WireSink,
+        AttachError, BorrowedMatch, CollectPayloadSink, CollectSink, CollectSubscriber, Frame,
+        FrameDecoder, HandshakeDecoder, HandshakeError, HandshakeReply, HandshakeRequest,
+        MatchSink, MatchStream, MaterializedMatch, OnlineMatch, PayloadSink, ReactorStats,
+        RouterStats, Runtime, RuntimeStats, SessionHandle, SessionManager, SessionOptions,
+        SessionReport, ShardStats, SharedStreamHandle, StreamControl, SubscriberDelivery,
+        SubscriberId, SubscriberReport, SubscriberSink, WireFormat, WireServed, WireSink,
+    };
+    // TCP serving needs Unix; everything above does not.
+    #[cfg(unix)]
+    pub use ppt_runtime::{
+        ConnectionReport, ForwardReport, HashRing, Registration, ServerStats, ShardRouter,
+        TcpServer, TcpServerBuilder,
     };
     pub use ppt_xpath::{Query, QueryPlan};
 }
