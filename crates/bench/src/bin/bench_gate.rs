@@ -14,11 +14,9 @@
 //! (`"results": [{"mode": ..., "threads": ..., "mib_per_s": ..., "matches":
 //! ...}]`); unknown top-level fields are ignored so baselines can carry
 //! extra metadata. The serving bench sweeps *connections* rather than
-//! worker threads, the shard bench sweeps *shards* and the multi-query
-//! bench sweeps registered *queries*, so `"conns"` (`BENCH_serve.json`),
-//! `"shards"` (`BENCH_shard.json`) and `"queries"`
-//! (`BENCH_multiquery.json`) are accepted as aliases for the `"threads"`
-//! point key.
+//! worker threads and the multi-query bench sweeps registered *queries*, so
+//! `"conns"` (`BENCH_serve.json`) and `"queries"` (`BENCH_multiquery.json`)
+//! are accepted as aliases for the `"threads"` point key.
 
 use std::process::ExitCode;
 
@@ -65,12 +63,10 @@ fn parse_points(json: &str) -> Result<Vec<Point>, String> {
             .ok_or_else(|| "unterminated result object".to_string())?;
         let obj = &rest[obj_open + 1..obj_close];
         // "threads" is the point key for the pipeline benches; the serving
-        // bench sweeps connections ("conns"), the shard bench sweeps shard
-        // counts ("shards") and the multi-query bench sweeps registered
-        // query counts ("queries").
+        // bench sweeps connections ("conns") and the multi-query bench
+        // sweeps registered query counts ("queries").
         let key = field_num(obj, "threads")
             .or_else(|_| field_num(obj, "conns"))
-            .or_else(|_| field_num(obj, "shards"))
             .or_else(|_| field_num(obj, "queries"))?;
         points.push(Point {
             mode: field_str(obj, "mode")?,
@@ -284,21 +280,6 @@ mod tests {
         assert_eq!(points[0].threads, 64);
         assert_eq!(points[0].matches, Some(640));
         // And the gate matches conns-keyed points against each other.
-        assert!(gate(&points, &points, 0.25).is_empty());
-    }
-
-    #[test]
-    fn accepts_shards_as_the_point_key() {
-        let report = r#"{
-  "bench": "shard",
-  "results": [
-    {"mode": "reactor", "shards": 4, "mib_per_s": 12.00, "matches": 320}
-  ]
-}"#;
-        let points = parse_points(report).unwrap();
-        assert_eq!(points.len(), 1);
-        assert_eq!(points[0].threads, 4);
-        assert_eq!(points[0].matches, Some(320));
         assert!(gate(&points, &points, 0.25).is_empty());
     }
 

@@ -80,9 +80,9 @@
 
 mod filters;
 mod pool;
-// TCP serving (the reactor, the server around it, and the shard router it
-// places streams with) needs `poll(2)`, `writev(2)` and nonblocking sockets;
-// the engine and the in-process runtime APIs do not.
+// TCP serving (the reactor and the server around it) needs `poll(2)`,
+// `writev(2)` and nonblocking sockets; the engine and the in-process runtime
+// APIs do not.
 #[cfg(unix)]
 pub mod reactor;
 mod resolver;
@@ -90,8 +90,6 @@ mod retain;
 #[cfg(unix)]
 pub mod serve;
 mod session;
-#[cfg(unix)]
-pub mod shard;
 mod sink;
 mod stats;
 pub mod subscribe;
@@ -100,17 +98,13 @@ pub mod wire;
 
 pub use resolver::{SpanEvent, SpanResolver};
 #[cfg(unix)]
-pub use serve::{
-    ConnectionReport, Registration, ServerStats, ShardSpec, TcpServer, TcpServerBuilder,
-};
+pub use serve::{ConnectionReport, Registration, ServerStats, TcpServer, TcpServerBuilder};
 pub use session::{SessionHandle, SessionReport};
-#[cfg(unix)]
-pub use shard::{ForwardReport, HashRing, ShardRouter};
 pub use sink::{
     BorrowedMatch, CollectPayloadSink, CollectSink, MatchSink, MaterializedMatch, OnlineMatch,
     PayloadRef, PayloadSink,
 };
-pub use stats::{ReactorStats, RouterStats, RuntimeStats, ShardStats};
+pub use stats::{ReactorStats, RuntimeStats};
 pub use subscribe::{
     AttachError, CollectSubscriber, SharedStreamHandle, StreamControl, SubscriberDelivery,
     SubscriberId, SubscriberReport, SubscriberSink,
@@ -305,8 +299,8 @@ impl Runtime {
         &self.pool
     }
 
-    /// This runtime's pipeline histograms. Every session records into them;
-    /// a sharded server aggregates one instance per shard at scrape time.
+    /// This runtime's pipeline histograms. Every session records into them,
+    /// and a server's scrape surfaces render them.
     pub fn telemetry(&self) -> &Arc<telemetry::RuntimeTelemetry> {
         &self.telemetry
     }

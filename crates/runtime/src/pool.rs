@@ -363,7 +363,7 @@ pub(crate) struct SessionCore {
     /// never held across a blocking wait.
     pub ring: Option<Mutex<RetentionRing>>,
     pub counters: Counters,
-    /// The owning runtime's (= shard's) pipeline histograms. Shared by every
+    /// The owning runtime's pipeline histograms. Shared by every
     /// session of that runtime; recording is relaxed atomics only, so the
     /// stages write into it straight from their hot loops.
     pub telemetry: Arc<RuntimeTelemetry>,

@@ -1,11 +1,11 @@
 //! The event-driven ingest layer: one `poll(2)` loop drives every
 //! connection.
 //!
-//! This is the engine room of [`crate::serve::TcpServer`]: a **reactor**, a
-//! small fixed set of ingest threads that multiplexes all connections over
-//! nonblocking sockets, so one thread can feed thousands of slow network
-//! streams into the shared worker pool and the thread count is flat in the
-//! number of clients. It owns the sockets — accept, handshake, feeding,
+//! This is the engine room of [`crate::serve::TcpServer`]: a **reactor**,
+//! one ingest thread that multiplexes all connections over nonblocking
+//! sockets, so it can feed thousands of slow network streams into the
+//! runtime's worker pool and the thread count is flat in the number of
+//! clients. It owns the sockets — accept, handshake, feeding,
 //! egress — and nothing else: the handshake grammar, the credit scheme, the
 //! retention ring and the wire framing are the same code the in-process
 //! runtime uses.
@@ -23,7 +23,7 @@
 //!
 //! Design points:
 //!
-//! * **No blocking anywhere on the ingest threads.** The `Feeder` grew a
+//! * **No blocking anywhere on the ingest thread.** The `Feeder` grew a
 //!   non-blocking discipline: a chunk that cannot get an in-flight credit
 //!   stays pending and the connection's `POLLIN` interest is dropped — the
 //!   kernel's socket buffer, and eventually the client, absorb the
@@ -31,9 +31,9 @@
 //!   `SessionEvents::on_credit`, which wakes the loop through
 //!   an `eventfd(2)` and re-arms the read.
 //! * **No thread per session on the join side either.** The joiner state
-//!   machine (`JoinerState`) lives in a `JoinTask`; a fixed `JoinPool`
-//!   of executor threads runs `try_take → fold_one` steps for whichever
-//!   sessions have deliverable chunks. A session whose outbox is over its
+//!   machine (`JoinerState`) lives in a `JoinTask`; one `JoinPool` of
+//!   `JOIN_THREADS` executor threads runs `try_take → fold_one` steps for
+//!   whichever sessions have deliverable chunks. A session whose outbox is over its
 //!   byte cap is parked (`stalled_on_outbox`) until the reactor drains the
 //!   socket below the cap — so a slow client stalls *its own* fold frontier,
 //!   which holds its credits, which pauses its reads: backpressure
@@ -48,7 +48,7 @@
 //! event loop's own accounting surfaces as [`ReactorStats`] in the server's
 //! stats.
 
-use crate::pool::{lock_recover, panic_message, SessionCore, SessionEvents, TryTake, WorkerPool};
+use crate::pool::{lock_recover, panic_message, SessionCore, SessionEvents, TryTake};
 use crate::serve::{ConnectionReport, ServeTelemetry, Shared};
 use crate::session::{Feeder, JoinerState, SessionReport};
 use crate::sink::{BorrowedMatch, Materializer, PayloadRef, PayloadSink};
@@ -57,6 +57,7 @@ use crate::subscribe::{
     shared_stream_parts, AttachError, FanoutSink, StreamControl, SubscriberDelivery, SubscriberId,
     SubscriberReport, SubscriberSink,
 };
+use crate::telemetry::EventKind;
 use crate::wire::{
     FrameRef, FrameWrite, HandshakeDecoder, HandshakeReply, WireFormat, WireSink,
     DEFAULT_MAX_HANDSHAKE_LINE,
@@ -596,9 +597,8 @@ struct SinkDone {
 /// attachers (shedding: a subscriber whose client stops draining loses *its
 /// own* matches, never stalls the shared pipeline).
 ///
-/// Runs on the stream's join-executor thread, which may not be the
-/// connection's ingest thread: every delivery wakes the connection's poll
-/// loop so POLLOUT arms for the freshly queued frame.
+/// Runs on a join-executor thread, never the ingest thread: every delivery
+/// wakes the poll loop so POLLOUT arms for the freshly queued frame.
 struct OutboxSubscriber {
     sink: Option<WireSink<OutboxWriter>>,
     outbox: Arc<OutboxShared>,
@@ -692,7 +692,7 @@ pub(crate) struct ConnSignal {
     feed_ready: AtomicBool,
     /// The joiner finalized: the session report is available.
     done: AtomicBool,
-    /// The owning ingest thread's wake-up fd.
+    /// The ingest thread's wake-up fd.
     wake: Arc<WakeFd>,
 }
 
@@ -736,6 +736,12 @@ fn enqueue_task(task: &Arc<JoinTask>) {
     task.join.ready.notify_one();
 }
 
+/// Join-executor threads: the fixed width of the one pool that folds every
+/// session's chunk outputs. Two keep one slow fold from stalling every other
+/// session's delivery. Four cut Treebank's CPU per MiB on a 2-vCPU host but
+/// raised the server's resident memory, which the benchmark gates.
+pub(crate) const JOIN_THREADS: usize = 2;
+
 /// The fixed pool of join-executor threads shared by every reactor session.
 pub(crate) struct JoinPool {
     shared: Arc<JoinShared>,
@@ -743,13 +749,13 @@ pub(crate) struct JoinPool {
 }
 
 impl JoinPool {
-    fn new(threads: usize) -> JoinPool {
+    fn new() -> JoinPool {
         let shared = Arc::new(JoinShared {
             queue: Mutex::new(VecDeque::new()),
             ready: Condvar::new(),
             shutdown: AtomicBool::new(false),
         });
-        let threads = (0..threads.max(1))
+        let threads = (0..JOIN_THREADS)
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
@@ -893,9 +899,6 @@ enum Phase {
 struct ConnSession {
     feeder: Feeder,
     task: Arc<JoinTask>,
-    /// The worker pool of the shard this stream was placed on: chunk jobs
-    /// go here, not to a global pool.
-    pool: Arc<WorkerPool>,
     /// The stream's subscription-layer control: engine swaps scheduled by
     /// mid-stream attaches land at the feeder's next chunk boundary.
     control: Arc<StreamControl>,
@@ -932,7 +935,6 @@ struct Conn {
 
 struct ConnMeta {
     stream_id: u64,
-    shard: usize,
     queries: Vec<String>,
     format: WireFormat,
 }
@@ -1002,101 +1004,49 @@ fn unpublish_stream(shared: &Shared, conn: &mut Conn) {
 // The reactor proper
 // ---------------------------------------------------------------------------
 
-/// State shared by every ingest thread of one server.
-pub(crate) struct ReactorShared {
-    wakes: Vec<Arc<WakeFd>>,
-    /// Connections handed off by the accepting thread (index 0) to their
-    /// owning ingest thread.
-    inboxes: Vec<Mutex<Vec<(TcpStream, SocketAddr)>>>,
-    /// One join-executor queue per shard: a connection's fold runs on the
-    /// pool of the shard its stream id was placed on.
-    joins: Vec<Arc<JoinShared>>,
-    pub counters: Arc<ReactorCounters>,
-    round_robin: AtomicUsize,
-    /// Set by the accepting thread once the listener is dropped — after
-    /// this, no hand-off can ever be pushed again. Peer threads must not
-    /// exit before observing it, or a hand-off racing the shutdown flag
-    /// would strand an accepted connection (and its gate slot) in the inbox
-    /// of a thread that is already gone.
-    accept_closed: AtomicBool,
-}
-
-/// The running ingest layer: thread handles plus the shared state the
-/// server needs for stats and shutdown.
+/// The running ingest layer: the ingest thread, its wake fd (shutdown pokes
+/// it) and the join pool.
 pub(crate) struct ReactorHandles {
-    threads: Vec<std::thread::JoinHandle<()>>,
-    pub shared: Arc<ReactorShared>,
-    /// Dropped (and their threads joined) after the ingest threads exit —
-    /// one pool per shard.
-    join_pools: Option<Vec<JoinPool>>,
+    thread: Option<std::thread::JoinHandle<()>>,
+    wake: Arc<WakeFd>,
+    /// Dropped (and its threads joined) after the ingest thread exits.
+    join_pool: Option<JoinPool>,
 }
 
 impl ReactorHandles {
-    /// Wakes every ingest thread so the loop observes the server's
-    /// `shutting_down` flag.
-    pub fn wake_all(&self) {
-        for wake in &self.shared.wakes {
-            wake.wake();
-        }
-    }
-
-    /// Blocks until every ingest thread drained its connections and exited,
+    /// Blocks until the ingest thread drained its connections and exited,
     /// then winds the join pool down.
     pub fn shutdown_join(&mut self) {
-        self.wake_all();
-        for handle in self.threads.drain(..) {
+        self.wake.wake();
+        if let Some(handle) = self.thread.take() {
             let _ = handle.join();
         }
-        self.join_pools.take(); // Drop joins the executor threads.
+        self.join_pool.take(); // Drop joins the executor threads.
     }
 }
 
-/// Spawns the ingest threads. Thread 0 owns the listener; accepted
-/// connections are spread round-robin across all ingest threads.
+/// Spawns the ingest thread, which owns the listener, and the join pool.
 pub(crate) fn spawn(shared: Arc<Shared>, listener: TcpListener) -> std::io::Result<ReactorHandles> {
     listener.set_nonblocking(true)?;
-    let ingest = shared.config.ingest_threads.max(1);
-    // Every scrape surface reads the event-loop counters through `Shared` —
-    // one source of truth with `TcpServer::stats`.
-    let counters = Arc::clone(&shared.reactor_counters);
-    // One join pool per shard: a slow fold on one shard never steals the
-    // executor threads of another.
-    let join_pools: Vec<JoinPool> = (0..shared.router.shard_count())
-        .map(|_| JoinPool::new(shared.config.join_threads))
-        .collect();
-    let wakes = (0..ingest).map(|_| WakeFd::new().map(Arc::new)).collect::<Result<Vec<_>, _>>()?;
-    let rshared = Arc::new(ReactorShared {
-        wakes,
-        inboxes: (0..ingest).map(|_| Mutex::new(Vec::new())).collect(),
-        joins: join_pools.iter().map(|p| Arc::clone(&p.shared)).collect(),
-        counters,
-        round_robin: AtomicUsize::new(0),
-        accept_closed: AtomicBool::new(false),
-    });
-    // The listener and every wake fd sit in a poll set for the server's
+    let join_pool = JoinPool::new();
+    let wake = Arc::new(WakeFd::new()?);
+    // The listener and the wake fd sit in the poll set for the server's
     // whole life.
-    for _ in 0..=ingest {
-        rshared.counters.fd_registered();
-    }
-    let mut threads = Vec::new();
-    for idx in 0..ingest {
-        let reactor = Reactor {
-            shared: Arc::clone(&shared),
-            r: Arc::clone(&rshared),
-            idx,
-            listener: (idx == 0).then(|| listener.try_clone()).transpose()?,
-            conns: Vec::new(),
-            free: Vec::new(),
-        };
-        threads.push(
-            std::thread::Builder::new()
-                .name(format!("ppt-ingest-{idx}"))
-                .spawn(move || reactor.run())
-                .map_err(|e| std::io::Error::other(format!("failed to spawn ingest: {e}")))?,
-        );
-    }
-    drop(listener);
-    Ok(ReactorHandles { threads, shared: rshared, join_pools: Some(join_pools) })
+    shared.reactor_counters.fd_registered();
+    shared.reactor_counters.fd_registered();
+    let reactor = Reactor {
+        shared,
+        wake: Arc::clone(&wake),
+        join: Arc::clone(&join_pool.shared),
+        listener: Some(listener),
+        conns: Vec::new(),
+        free: Vec::new(),
+    };
+    let thread = std::thread::Builder::new()
+        .name("ppt-ingest".to_string())
+        .spawn(move || reactor.run())
+        .map_err(|e| std::io::Error::other(format!("failed to spawn ingest: {e}")))?;
+    Ok(ReactorHandles { thread: Some(thread), wake, join_pool: Some(join_pool) })
 }
 
 /// What a pollfd slot refers to.
@@ -1109,18 +1059,14 @@ enum Token {
 
 struct Reactor {
     shared: Arc<Shared>,
-    r: Arc<ReactorShared>,
-    idx: usize,
+    wake: Arc<WakeFd>,
+    join: Arc<JoinShared>,
     listener: Option<TcpListener>,
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
 }
 
 impl Reactor {
-    fn wake(&self) -> &Arc<WakeFd> {
-        &self.r.wakes[self.idx]
-    }
-
     fn live_conns(&self) -> usize {
         self.conns.iter().filter(|c| c.is_some()).count()
     }
@@ -1133,31 +1079,19 @@ impl Reactor {
             let shutting_down = self.shared.shutting_down.load(Ordering::SeqCst);
             if shutting_down {
                 // Stop accepting the moment shutdown is requested; pending
-                // backlog clients are refused when the listener drops. The
-                // `accept_closed` store is the point after which no hand-off
-                // can ever be pushed again — peers must not exit before
-                // observing it, so a connection accepted just before the
-                // shutdown flag cannot be stranded in an exited thread's
-                // inbox. Waking the peers here re-runs their exit checks.
+                // backlog clients are refused when the listener drops.
                 if self.listener.take().is_some() {
-                    self.r.counters.fd_unregistered();
-                    self.r.accept_closed.store(true, Ordering::SeqCst);
-                    for wake in &self.r.wakes {
-                        wake.wake();
-                    }
+                    self.shared.reactor_counters.fd_unregistered();
                 }
-                let drained = self.adopt_handed_off() == 0 && self.live_conns() == 0;
-                if drained && self.r.accept_closed.load(Ordering::SeqCst) {
-                    self.r.counters.fd_unregistered(); // this thread's wake fd
+                if self.live_conns() == 0 {
+                    self.shared.reactor_counters.fd_unregistered(); // the wake fd
                     return;
                 }
-            } else {
-                self.adopt_handed_off();
             }
 
             pollfds.clear();
             tokens.clear();
-            pollfds.push(PollFd { fd: self.wake().raw_fd(), events: POLLIN, revents: 0 });
+            pollfds.push(PollFd { fd: self.wake.raw_fd(), events: POLLIN, revents: 0 });
             tokens.push(Token::Wake);
             if let Some(listener) = &self.listener {
                 // Admission gate before accept: with no free slot the
@@ -1198,7 +1132,7 @@ impl Reactor {
             }
 
             // RELAXED-OK: monotonic stat counter; orders nothing.
-            self.r.counters.polls.fetch_add(1, Ordering::Relaxed);
+            self.shared.reactor_counters.polls.fetch_add(1, Ordering::Relaxed);
             if poll_fds(&mut pollfds, timeout_ms).is_err() {
                 // EINVAL and friends are programming errors; yield so a
                 // persistent failure cannot hard-spin a core, then retry.
@@ -1217,14 +1151,17 @@ impl Reactor {
                 dispatched = true;
                 match tokens[i] {
                     Token::Wake => {
-                        self.wake().drain();
+                        self.wake.drain();
                         // RELAXED-OK: monotonic stat counter; orders nothing.
-                        self.r.counters.wakeups.fetch_add(1, Ordering::Relaxed);
+                        self.shared.reactor_counters.wakeups.fetch_add(1, Ordering::Relaxed);
                     }
                     Token::Listener => self.accept_ready(),
                     Token::Conn(slot) => {
                         // RELAXED-OK: monotonic stat counter; orders nothing.
-                        self.r.counters.readiness_dispatches.fetch_add(1, Ordering::Relaxed);
+                        self.shared
+                            .reactor_counters
+                            .readiness_dispatches
+                            .fetch_add(1, Ordering::Relaxed);
                         if revents & (POLLOUT | POLLERR | POLLHUP) != 0 {
                             self.handle_writable(slot);
                         }
@@ -1249,21 +1186,6 @@ impl Reactor {
         }
     }
 
-    /// Takes connections handed off by the accepting thread. Returns how
-    /// many arrived (the shutdown exit check uses this so a racing hand-off
-    /// is not stranded).
-    fn adopt_handed_off(&mut self) -> usize {
-        let pending: Vec<_> = {
-            let mut inbox = lock_recover(&self.r.inboxes[self.idx]).0;
-            inbox.drain(..).collect()
-        };
-        let n = pending.len();
-        for (stream, peer) in pending {
-            self.register(stream, peer);
-        }
-        n
-    }
-
     fn accept_ready(&mut self) {
         loop {
             if self.shared.shutting_down.load(Ordering::SeqCst) {
@@ -1282,20 +1204,7 @@ impl Reactor {
                     self.shared.accepted.fetch_add(1, Ordering::Relaxed);
                     // RELAXED-OK: live gauge; readers tolerate skew.
                     self.shared.active.fetch_add(1, Ordering::Relaxed);
-                    let ingest = self.r.inboxes.len();
-                    let target = if ingest == 1 {
-                        0
-                    } else {
-                        // RELAXED-OK: load-spreading tick; any distribution
-                        // is correct, orders nothing.
-                        self.r.round_robin.fetch_add(1, Ordering::Relaxed) % ingest
-                    };
-                    if target == self.idx {
-                        self.register(stream, peer);
-                    } else {
-                        lock_recover(&self.r.inboxes[target]).0.push((stream, peer));
-                        self.r.wakes[target].wake();
-                    }
+                    self.register(stream, peer);
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                     self.shared.gate.release();
@@ -1336,13 +1245,13 @@ impl Reactor {
             },
             outbox: OutboxShared::new(
                 cfg.max_outbox_bytes,
-                Arc::clone(&self.r.counters),
+                Arc::clone(&self.shared.reactor_counters),
                 Arc::clone(&self.shared.telemetry),
             ),
             signal: Arc::new(ConnSignal {
                 feed_ready: AtomicBool::new(false),
                 done: AtomicBool::new(false),
-                wake: Arc::clone(self.wake()),
+                wake: Arc::clone(&self.wake),
             }),
             session: None,
             subscription: None,
@@ -1353,7 +1262,7 @@ impl Reactor {
             last_progress: Instant::now(),
             accepted_at: Instant::now(),
         };
-        self.r.counters.fd_registered();
+        self.shared.reactor_counters.fd_registered();
         match self.free.pop() {
             Some(slot) => self.conns[slot] = Some(conn),
             None => self.conns.push(Some(conn)),
@@ -1403,9 +1312,9 @@ impl Reactor {
         }
     }
 
-    /// The handshake parsed: resolve the stream id, place the stream on its
-    /// shard, build the engine, reply, and bring the session up on the
-    /// shard's pools — or send a structured rejection.
+    /// The handshake parsed: resolve the stream id, build the engine, reply,
+    /// and bring the session up on the runtime's pools — or send a
+    /// structured rejection.
     fn complete_handshake(&mut self, slot: usize, request: crate::wire::HandshakeRequest) {
         if request.stats {
             // An in-band scrape: queue the snapshot page and flush-close via
@@ -1424,9 +1333,8 @@ impl Reactor {
             conn.phase = Phase::Rejecting;
             return;
         }
-        // The stream id is the partition key: the client's requested one, or
-        // a process-unique assignment (a default of 0 for everyone would put
-        // every default stream on one shard and make their frames
+        // The stream id is the client's requested one, or a process-unique
+        // assignment (a default of 0 for everyone would make their frames
         // indistinguishable to an aggregating consumer).
         let stream_id = request.stream_id.unwrap_or_else(crate::serve::assign_stream_id);
 
@@ -1445,18 +1353,11 @@ impl Reactor {
         }
 
         // --- Owner path: open a shared stream this connection feeds --------
-        let shard = self.shared.place_stream(stream_id);
-        let runtime = Arc::clone(self.shared.router.shard(shard));
+        self.shared.telemetry.journal.record(EventKind::Registered, stream_id);
+        let runtime = Arc::clone(&self.shared.runtime);
         let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else { return };
-        // Meta (and with it the shard placement) is set before anything can
-        // fail, so every exit path below releases the shard accounting
-        // through `close_conn`.
-        conn.meta = Some(ConnMeta {
-            stream_id,
-            shard,
-            queries: request.queries.clone(),
-            format: request.format,
-        });
+        conn.meta =
+            Some(ConnMeta { stream_id, queries: request.queries.clone(), format: request.format });
         self.shared.telemetry.handshake_nanos.record_duration(conn.accepted_at.elapsed());
         // The owner is subscriber 0 of its own stream: its frames are framed
         // straight into its outbox from the stream's joiner (lossless — the
@@ -1526,23 +1427,22 @@ impl Reactor {
             stalled_on_outbox: AtomicBool::new(false),
             outbox: Arc::clone(&conn.outbox),
             signal: Arc::clone(&conn.signal),
-            join: Arc::clone(&self.r.joins[shard]),
+            join: Arc::clone(&self.join),
         });
         core.set_events(Arc::new(ConnEvents {
             task: Arc::downgrade(&task),
             signal: Arc::clone(&conn.signal),
         }));
         let mut feeder = Feeder::new(core);
-        let pool = Arc::clone(runtime.worker_pool());
         // Bytes that arrived in the same reads as the handshake are the head
         // of the stream.
         let old = std::mem::replace(&mut conn.phase, Phase::Streaming);
         let Phase::Handshaking { decoder, .. } = old else { unreachable!("checked by caller") };
         let remainder = decoder.take_remainder();
         if !remainder.is_empty() {
-            feeder.feed_nonblocking(&pool, &remainder);
+            feeder.feed_nonblocking(runtime.worker_pool(), &remainder);
         }
-        conn.session = Some(ConnSession { feeder, task, pool, control, done });
+        conn.session = Some(ConnSession { feeder, task, control, done });
     }
 
     /// Attaches a connection to a live shared stream: registers its queries
@@ -1593,21 +1493,13 @@ impl Reactor {
             self.abort_conn(slot, "handshake reply failed: outbox closed");
             return true;
         }
-        // Subscribers account on the stream's shard — same placement as the
-        // owner (the ring is deterministic in the id), so co-subscribers of
-        // one stream never scatter across shards.
-        let shard = self.shared.place_stream(stream_id);
+        self.shared.telemetry.journal.record(EventKind::Registered, stream_id);
         let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
             let _ = control.detach(id);
-            self.shared.shard_closed(shard);
             return true;
         };
-        conn.meta = Some(ConnMeta {
-            stream_id,
-            shard,
-            queries: request.queries.clone(),
-            format: request.format,
-        });
+        conn.meta =
+            Some(ConnMeta { stream_id, queries: request.queries.clone(), format: request.format });
         self.shared.telemetry.handshake_nanos.record_duration(conn.accepted_at.elapsed());
         // Bytes an attacher sends after GO are ignored: the handshake
         // decoder's remainder is discarded with it, and `interest` keeps
@@ -1629,20 +1521,20 @@ impl Reactor {
         if let Some(engine) = session.control.take_pending_engine() {
             session.feeder.swap_engine(engine);
         }
-        let pool = Arc::clone(&session.pool);
+        let pool = self.shared.runtime.worker_pool();
         match conn.stream.read(buf) {
             Ok(0) => {
                 // Clean end of stream: flush the splitter tail; the chunk
                 // total is announced once the pending queue drains.
                 conn.last_progress = Instant::now();
                 session.feeder.request_finish();
-                session.feeder.pump_nonblocking(&pool);
+                session.feeder.pump_nonblocking(pool);
                 conn.phase = Phase::Draining;
                 unpublish_stream(&self.shared, conn);
             }
             Ok(n) => {
                 conn.last_progress = Instant::now();
-                session.feeder.feed_nonblocking(&pool, &buf[..n]);
+                session.feeder.feed_nonblocking(pool, &buf[..n]);
             }
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
@@ -1653,7 +1545,7 @@ impl Reactor {
                 // failure in the connection's report.
                 conn.read_error = Some(e.to_string());
                 session.feeder.request_finish();
-                session.feeder.pump_nonblocking(&pool);
+                session.feeder.pump_nonblocking(pool);
                 conn.phase = Phase::Draining;
                 unpublish_stream(&self.shared, conn);
             }
@@ -1744,7 +1636,7 @@ impl Reactor {
             // progress proves nothing about the client. Its bytes may sit
             // unread in the kernel buffer (POLLIN interest is off while the
             // feeder is blocked) and its frames have simply not been
-            // produced yet behind a busy shard. Restart the clock so the
+            // produced yet behind a busy worker pool. Restart the clock so the
             // deadline measures from the moment the pipeline catches up.
             //
             // The discriminator is the outbox: a backed-up outbox means the
@@ -1807,8 +1699,7 @@ impl Reactor {
             let Some(conn) = self.conns[slot].as_mut() else { continue };
             if let Some(session) = conn.session.as_mut() {
                 if conn.signal.feed_ready.swap(false, Ordering::AcqRel) {
-                    let pool = Arc::clone(&session.pool);
-                    session.feeder.pump_nonblocking(&pool);
+                    session.feeder.pump_nonblocking(self.shared.runtime.worker_pool());
                 }
                 if conn.signal.done.load(Ordering::Acquire)
                     && matches!(conn.phase, Phase::Streaming)
@@ -1919,11 +1810,9 @@ impl Reactor {
                         }
                         (None, None) => (None, 0, 0, None),
                     };
-                // `record` balances the shard placement accounting.
                 self.shared.record(ConnectionReport {
                     peer: conn.peer,
                     stream_id: meta.stream_id,
-                    shard: meta.shard,
                     queries: meta.queries,
                     format: meta.format,
                     frames,
@@ -1936,23 +1825,14 @@ impl Reactor {
                 // even if it keeps its write half open): a client that has
                 // seen EOF can rely on the report being on `/metrics`.
                 let _ = conn.stream.shutdown(Shutdown::Write);
-            } else {
-                // Placed but closed without a report (e.g. the outbox died
-                // before the reply could be queued): still release the
-                // shard's live-session accounting.
-                self.shared.shard_closed(meta.shard);
             }
         }
         drop(conn);
-        self.r.counters.fd_unregistered();
+        self.shared.reactor_counters.fd_unregistered();
         // RELAXED-OK: live gauge; readers tolerate skew.
         self.shared.active.fetch_sub(1, Ordering::Relaxed);
+        // The freed slot re-arms the listener on the next poll round.
         self.shared.gate.release();
-        // A freed admission slot re-arms the listener, which lives on
-        // ingest thread 0.
-        if self.idx != 0 {
-            self.r.wakes[0].wake();
-        }
     }
 }
 

@@ -15,15 +15,17 @@
 //!            └───────────────────────────────────────────────────────┘
 //! ```
 //!
-//! There is one serving discipline: a small fixed set of ingest threads
-//! drives every connection from a `poll(2)` event loop over nonblocking
-//! sockets (see [`crate::reactor`]). One thread feeds thousands of slow
-//! network streams, and a slow client exerts backpressure through its
-//! bounded outbox and the retention ring instead of wedging a thread. This
-//! module is the server's shape — builder, admission, accounting, scrape
-//! surfaces, client helpers; the reactor is its engine room. Serving needs
-//! Unix (`poll(2)`, `writev(2)`, `eventfd(2)`); the engine and the
-//! in-process runtime APIs ([`Runtime::serve_reader`] included) do not.
+//! There is one serving discipline and one execution site: a single ingest
+//! thread drives every connection from a `poll(2)` event loop over
+//! nonblocking sockets (see [`crate::reactor`]), every session runs on the
+//! one [`Runtime`] passed to [`TcpServerBuilder::bind`], and one fixed join
+//! pool folds their chunks. One thread feeds thousands of slow network
+//! streams, and a slow client exerts backpressure through its bounded
+//! outbox and the retention ring instead of wedging a thread. This module is
+//! the server's shape — builder, admission, accounting, scrape surfaces,
+//! client helpers; the reactor is its engine room. Serving needs Unix
+//! (`poll(2)`, `writev(2)`, `eventfd(2)`); the engine and the in-process
+//! runtime APIs ([`Runtime::serve_reader`] included) do not.
 //!
 //! Design points, in the spirit of the paper's serving discipline:
 //!
@@ -39,28 +41,24 @@
 //!   every other session keeps flowing.
 //! * **Graceful shutdown**: [`TcpServer::shutdown`] stops accepting, then
 //!   drains the connections still in flight before returning the final
-//!   [`ServerStats`]. The ingest threads are woken through their wake fds,
-//!   never by the server connecting to itself — a self-connect wake could
-//!   block indefinitely against a full backlog exactly when the server was
+//!   [`ServerStats`]. The ingest thread is woken through its wake fd, never
+//!   by the server connecting to itself — a self-connect wake could block
+//!   indefinitely against a full backlog exactly when the server was
 //!   busiest.
 //! * **Accounting survives the disconnect**: every connection that passed
 //!   the handshake leaves a [`ConnectionReport`] in the server-level stats
-//!   snapshot, beside event-loop totals ([`ReactorStats`]) and
-//!   per-shard/router accounting ([`ShardStats`], [`RouterStats`]).
-//! * **Streams are placed by identity.** Every post-handshake connection is
-//!   routed to the shard owning its stream id on a consistent-hash ring
-//!   (see [`crate::shard`] and [`TcpServerBuilder::shards`]); with the
-//!   default single shard that is simply the runtime passed to `bind`, but
-//!   the identity rules hold regardless: a handshake without `STREAM` gets
-//!   a process-unique, never-zero id, echoed in the `OK` reply.
+//!   snapshot, beside the event-loop totals ([`ReactorStats`]).
+//! * **Every stream has an identity.** A handshake without `STREAM` gets a
+//!   process-unique, never-zero id, echoed in the `OK` reply, so an
+//!   aggregating consumer can always demux the frames of concurrent
+//!   sessions.
 //! * **Liveness is optional but total**: [`TcpServerBuilder::idle_timeout`]
 //!   times out post-handshake connections with no socket progress — the
 //!   dead-but-open-client case the handshake deadline cannot see.
 
 use crate::pool::lock_recover;
 use crate::reactor::{ReactorCounters, ReactorHandles};
-use crate::shard::ShardRouter;
-use crate::stats::{ReactorStats, RouterStats, ShardStats};
+use crate::stats::ReactorStats;
 use crate::subscribe::{AttachError, StreamControl};
 use crate::telemetry::{Counter, EventJournal, EventKind, Histogram, Registry};
 use crate::wire::{
@@ -118,24 +116,6 @@ const MAX_RETAIN_BYTES: u64 = 64 << 20;
 /// co-tenant's pathological query set.
 pub(crate) const MAX_AUTOMATON_STATES: usize = 1 << 16;
 
-/// The in-process sharding shape of a server: how many shards, and how each
-/// shard's pools are sized (see [`crate::shard`]).
-#[derive(Debug, Clone)]
-pub struct ShardSpec {
-    /// Number of shards (1 = the classic single-runtime server).
-    pub shards: usize,
-    /// Worker threads per *additional* shard runtime; `None` copies the
-    /// worker count of the runtime passed to `bind` (which serves as
-    /// shard 0).
-    pub workers: Option<usize>,
-}
-
-impl Default for ShardSpec {
-    fn default() -> ShardSpec {
-        ShardSpec { shards: 1, workers: None }
-    }
-}
-
 /// Builder for a [`TcpServer`].
 #[derive(Debug, Clone)]
 pub struct TcpServerBuilder {
@@ -145,10 +125,7 @@ pub struct TcpServerBuilder {
     pub(crate) idle_timeout: Option<Duration>,
     pub(crate) chunk_size: Option<usize>,
     pub(crate) window_size: Option<usize>,
-    pub(crate) ingest_threads: usize,
-    pub(crate) join_threads: usize,
     pub(crate) max_outbox_bytes: usize,
-    pub(crate) shard: ShardSpec,
     pub(crate) admin_addr: Option<String>,
 }
 
@@ -161,10 +138,7 @@ impl Default for TcpServerBuilder {
             idle_timeout: None,
             chunk_size: None,
             window_size: None,
-            ingest_threads: 1,
-            join_threads: 2,
             max_outbox_bytes: 1 << 20,
-            shard: ShardSpec::default(),
             admin_addr: None,
         }
     }
@@ -207,8 +181,8 @@ impl TcpServerBuilder {
     /// * A **pipeline-side stall** never counts against the client: a
     ///   connection the server still owes work on (chunks pending in a
     ///   blocked feeder or submitted but not yet folded) while its own
-    ///   outbox is *not* backed up (the stall is a busy shard, not the
-    ///   client) has its clock reset.
+    ///   outbox is *not* backed up (the stall is a busy worker pool, not
+    ///   the client) has its clock reset.
     /// * A client that **stops draining its frames** past the deadline is
     ///   treated as dead — indistinguishable from the NAT-idled case. The
     ///   session is poisoned and the connection closed.
@@ -217,25 +191,6 @@ impl TcpServerBuilder {
     /// streams legitimately have.
     pub fn idle_timeout(mut self, timeout: Option<Duration>) -> TcpServerBuilder {
         self.idle_timeout = timeout;
-        self
-    }
-
-    /// Serves over `n` shards (default 1): each shard is an independent
-    /// [`Runtime`] — its own worker pool, join executors and retention
-    /// accounting — and every connection is placed on the shard owning its
-    /// stream id on a consistent-hash ring (see [`crate::shard`]). The
-    /// runtime passed to [`TcpServerBuilder::bind`] becomes shard 0;
-    /// additional shards are built to match it (or to
-    /// [`TcpServerBuilder::shard_workers`]).
-    pub fn shards(mut self, n: usize) -> TcpServerBuilder {
-        self.shard.shards = n.max(1);
-        self
-    }
-
-    /// Worker threads for each additional shard's runtime (default: the
-    /// worker count of the runtime passed to `bind`).
-    pub fn shard_workers(mut self, n: usize) -> TcpServerBuilder {
-        self.shard.workers = Some(n.max(1));
         self
     }
 
@@ -250,23 +205,6 @@ impl TcpServerBuilder {
     /// default).
     pub fn window_size(mut self, bytes: usize) -> TcpServerBuilder {
         self.window_size = Some(bytes);
-        self
-    }
-
-    /// Ingest threads (default 1 — one `poll(2)` loop drives every
-    /// connection; raise it only when handshake/engine builds or sheer
-    /// socket volume saturate a single loop).
-    pub fn ingest_threads(mut self, n: usize) -> TcpServerBuilder {
-        self.ingest_threads = n.max(1);
-        self
-    }
-
-    /// Join-executor threads (default 2): the fixed pool that folds chunk
-    /// outputs for the sessions. A sharded server runs one such pool **per
-    /// shard**, each `n` threads wide, so shards never contend on each
-    /// other's folds.
-    pub fn join_threads(mut self, n: usize) -> TcpServerBuilder {
-        self.join_threads = n.max(1);
         self
     }
 
@@ -293,10 +231,8 @@ impl TcpServerBuilder {
         self
     }
 
-    /// Binds the listener and starts serving. Sessions run on the given
-    /// runtime's shared worker pool — or, with [`TcpServerBuilder::shards`]
-    /// above 1, on the pools of the shard their stream id hashes to (the
-    /// given runtime serves as shard 0).
+    /// Binds the listener and starts serving. Every session runs on the
+    /// given runtime's shared worker pool.
     pub fn bind<A: ToSocketAddrs>(
         self,
         addr: A,
@@ -304,21 +240,8 @@ impl TcpServerBuilder {
     ) -> std::io::Result<TcpServer> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        let mut shards = vec![runtime];
-        for _ in 1..self.shard.shards {
-            let seed = &shards[0];
-            shards.push(Arc::new(
-                Runtime::builder()
-                    .workers(self.shard.workers.unwrap_or_else(|| seed.workers()))
-                    .inflight_chunks(seed.inflight_chunks)
-                    .match_buffer(seed.match_buffer)
-                    .build(),
-            ));
-        }
-        let accounting = (0..shards.len()).map(|_| ShardAccounting::default()).collect();
         let shared = Arc::new(Shared {
-            router: ShardRouter::new(shards),
-            accounting,
+            runtime,
             gate: Gate::new(self.max_connections),
             config: self,
             shutting_down: AtomicBool::new(false),
@@ -328,6 +251,8 @@ impl TcpServerBuilder {
             sessions_failed: AtomicU64::new(0),
             frames_out: AtomicU64::new(0),
             bytes_out: AtomicU64::new(0),
+            matches: AtomicU64::new(0),
+            peak_retained: AtomicUsize::new(0),
             active: AtomicUsize::new(0),
             reports: Mutex::new(VecDeque::new()),
             hub: Mutex::new(HashMap::new()),
@@ -345,11 +270,10 @@ impl TcpServerBuilder {
 }
 
 /// The admission gate: the pipeline's credit pattern applied to whole
-/// connections. The accepting ingest thread takes a slot before each
-/// `accept` (and leaves the listener out of its poll set while none is
-/// free); whichever ingest thread closes a connection gives its slot back.
-/// Nothing ever waits on it, and once closed (shutdown) it refuses every
-/// acquire.
+/// connections. The ingest thread takes a slot before each `accept` (and
+/// leaves the listener out of its poll set while none is free) and gives it
+/// back when it closes the connection. Nothing ever waits on it, and once
+/// closed (shutdown, from the caller's thread) it refuses every acquire.
 pub(crate) struct Gate {
     slots: Mutex<usize>,
     closed: AtomicBool,
@@ -388,21 +312,10 @@ impl Gate {
     }
 }
 
-/// Per-shard accounting the serving layer keeps alongside the router's
-/// placement counters (see [`ShardStats`]).
-#[derive(Default)]
-pub(crate) struct ShardAccounting {
-    active: AtomicUsize,
-    matches: AtomicU64,
-    frames: AtomicU64,
-    bytes_out: AtomicU64,
-    peak_retained: AtomicUsize,
-}
-
 /// Serving-layer telemetry shared by every scrape surface (the in-band
 /// `STATS` verb and the admin listener): handshake/dispatch/outbox
-/// histograms that have no per-shard home, the scrape counter, and the
-/// session lifecycle journal. Pipeline-stage histograms live per shard on
+/// histograms, the scrape counter, and the session lifecycle journal.
+/// Pipeline-stage histograms live on the runtime's
 /// [`crate::telemetry::RuntimeTelemetry`].
 #[derive(Debug, Default)]
 pub(crate) struct ServeTelemetry {
@@ -427,11 +340,11 @@ pub(crate) struct ServeTelemetry {
     pub journal: EventJournal,
 }
 
-/// Everything the ingest threads, the join executors and the scrape
-/// surfaces share.
+/// Everything the ingest thread, the join executors and the scrape surfaces
+/// share.
 pub(crate) struct Shared {
-    pub(crate) router: ShardRouter,
-    accounting: Vec<ShardAccounting>,
+    /// The one execution site: every session runs on this runtime's pools.
+    pub(crate) runtime: Arc<Runtime>,
     pub(crate) config: TcpServerBuilder,
     pub(crate) gate: Gate,
     pub(crate) shutting_down: AtomicBool,
@@ -441,6 +354,8 @@ pub(crate) struct Shared {
     sessions_failed: AtomicU64,
     frames_out: AtomicU64,
     bytes_out: AtomicU64,
+    matches: AtomicU64,
+    peak_retained: AtomicUsize,
     pub(crate) active: AtomicUsize,
     reports: Mutex<VecDeque<ConnectionReport>>,
     /// Live shared streams by stream id: a later connection whose handshake
@@ -455,33 +370,13 @@ pub(crate) struct Shared {
     /// readers retry (bounded) on a torn window instead of locking the
     /// record path.
     record_epoch: AtomicU64,
-    /// The reactor's event-loop counters: the ingest threads count into
+    /// The reactor's event-loop counters: the ingest thread counts into
     /// them, and every scrape surface (in-band `STATS`, admin listener,
     /// [`TcpServer::stats`]) reads the same source of truth.
     pub(crate) reactor_counters: Arc<ReactorCounters>,
 }
 
 impl Shared {
-    /// Places a post-handshake connection on its stream id's shard and
-    /// counts it live there. Balanced by [`Shared::shard_closed`] (called
-    /// from [`Shared::record`] for recorded connections).
-    pub(crate) fn place_stream(&self, stream_id: u64) -> usize {
-        let shard = self.router.place(stream_id);
-        // RELAXED-OK: live gauge; departures rebalance under the seqlock
-        // bracket in `record`, and readers tolerate transient skew.
-        self.accounting[shard].active.fetch_add(1, Ordering::Relaxed);
-        self.telemetry.journal.record(EventKind::Registered, stream_id, shard);
-        self.telemetry.journal.record(EventKind::Placed, stream_id, shard);
-        shard
-    }
-
-    /// Counts a placed connection's departure from its shard.
-    pub(crate) fn shard_closed(&self, shard: usize) {
-        // RELAXED-OK: gauge decrement; called from `record` inside the
-        // record_epoch seqlock bracket, which orders it for snapshots.
-        self.accounting[shard].active.fetch_sub(1, Ordering::Relaxed);
-    }
-
     pub(crate) fn record(&self, report: ConnectionReport) {
         let failed = report.read_error.is_some()
             || report.write_error.is_some()
@@ -500,14 +395,13 @@ impl Shared {
         } else {
             EventKind::Poisoned
         };
-        self.telemetry.journal.record(kind, report.stream_id, report.shard);
-        // Writer side: several ingest threads can record at once (each
-        // closes its own connections), and two in-flight writers would break
-        // the epoch's odd/even parity — the epoch turns even while counters
-        // are still mid-update, and a reader would validate a torn snapshot
-        // (see crates/runtime/tests/model.rs::seqlock_two_writers_*). The
-        // reports mutex, which `record` takes anyway, is acquired early to
-        // serialize writers; snapshot readers never touch it.
+        self.telemetry.journal.record(kind, report.stream_id);
+        // Writer side: the reports mutex, which `record` takes anyway, is
+        // acquired before the first epoch bump so writers serialize — two
+        // in-flight writers would break the epoch's odd/even parity and let
+        // a reader validate a torn snapshot (see
+        // crates/runtime/tests/model.rs::seqlock_two_writers_*). Snapshot
+        // readers never touch it.
         let (mut reports, _) = lock_recover(&self.reports);
         // Seqlock write side: a stats snapshot taken mid-record could see
         // e.g. the session counted completed but its frames not yet added —
@@ -529,18 +423,12 @@ impl Shared {
         self.frames_out.fetch_add(report.frames, Ordering::Relaxed);
         // RELAXED-OK: seqlock-bracketed (see group note above).
         self.bytes_out.fetch_add(report.bytes_out, Ordering::Relaxed);
-        let shard = &self.accounting[report.shard];
-        // RELAXED-OK: seqlock-bracketed (see group note above).
-        shard.frames.fetch_add(report.frames, Ordering::Relaxed);
-        // RELAXED-OK: seqlock-bracketed (see group note above).
-        shard.bytes_out.fetch_add(report.bytes_out, Ordering::Relaxed);
         if let Some(session) = &report.report {
             // RELAXED-OK: seqlock-bracketed (see group note above).
-            shard.matches.fetch_add(session.stats.matches, Ordering::Relaxed);
+            self.matches.fetch_add(session.stats.matches, Ordering::Relaxed);
             // RELAXED-OK: seqlock-bracketed (see group note above).
-            shard.peak_retained.fetch_max(session.stats.peak_retained_bytes, Ordering::Relaxed);
+            self.peak_retained.fetch_max(session.stats.peak_retained_bytes, Ordering::Relaxed);
         }
-        self.shard_closed(report.shard);
         self.record_epoch.fetch_add(1, Ordering::AcqRel);
         if reports.len() == MAX_REMEMBERED_REPORTS {
             reports.pop_front();
@@ -570,27 +458,7 @@ impl Shared {
     }
 
     fn server_stats_unsynced(&self) -> ServerStats {
-        let router = self.router.stats();
-        let shards = (0..self.router.shard_count())
-            .map(|idx| {
-                let runtime = self.router.shard(idx);
-                let acc = &self.accounting[idx];
-                let (chunks_in_order, chunks_speculative) = runtime.chunk_modes();
-                ShardStats {
-                    shard: idx,
-                    workers: runtime.workers(),
-                    active_sessions: acc.active.load(Ordering::Acquire),
-                    sessions: router.per_shard_placements.get(idx).copied().unwrap_or(0),
-                    matches: acc.matches.load(Ordering::Acquire),
-                    frames_out: acc.frames.load(Ordering::Acquire),
-                    bytes_out: acc.bytes_out.load(Ordering::Acquire),
-                    peak_retained_bytes: acc.peak_retained.load(Ordering::Acquire),
-                    peak_queue_depth: runtime.peak_queue_depth(),
-                    chunks_in_order,
-                    chunks_speculative,
-                }
-            })
-            .collect();
+        let (chunks_in_order, chunks_speculative) = self.runtime.chunk_modes();
         ServerStats {
             // Acquire on the seqlock read side: these loads must not drift
             // past the epoch re-validation in `server_stats` (upgraded from
@@ -602,18 +470,25 @@ impl Shared {
             sessions_failed: self.sessions_failed.load(Ordering::Acquire),
             frames_out: self.frames_out.load(Ordering::Acquire),
             bytes_out: self.bytes_out.load(Ordering::Acquire),
+            matches: self.matches.load(Ordering::Acquire),
+            peak_retained_bytes: self.peak_retained.load(Ordering::Acquire),
+            peak_queue_depth: self.runtime.peak_queue_depth(),
+            chunks_in_order,
+            chunks_speculative,
             reactor: self.reactor_counters.snapshot(),
-            shards,
-            router,
             connections: lock_recover(&self.reports).0.iter().cloned().collect(),
         }
     }
 
     /// Assembles the live metrics [`Registry`]: the [`ServerStats`] snapshot
     /// (one source of truth with [`TcpServer::stats`]) re-exported as
-    /// `ppt_*` families, plus the per-shard pipeline histograms and the
+    /// `ppt_*` families, plus the runtime's pipeline histograms and the
     /// serving-layer histograms. Built fresh per scrape; recorders never
     /// block.
+    ///
+    /// `ppt_shard_peak_retained_bytes` and `ppt_shard_peak_queue_depth`
+    /// keep their `shard` infix because external scrapers (the frozen
+    /// benchmark among them) sum them by name; both are server-wide values.
     pub(crate) fn build_registry(&self) -> Registry {
         let stats = self.server_stats();
         let mut reg = Registry::new();
@@ -660,6 +535,12 @@ impl Shared {
             stats.bytes_out,
         );
         reg.counter(
+            "ppt_matches_total",
+            "Query matches emitted by recorded sessions.",
+            vec![],
+            stats.matches,
+        );
+        reg.counter(
             "ppt_egress_copied_bytes_total",
             "Egress bytes copied into reactor outboxes (headers, fallbacks).",
             vec![],
@@ -677,85 +558,34 @@ impl Shared {
             vec![],
             self.telemetry.scrapes.get(),
         );
-        for shard in &stats.shards {
-            let label = |key| vec![(key, shard.shard.to_string())];
-            reg.gauge(
-                "ppt_shard_active_sessions",
-                "Sessions currently being served, by shard.",
-                label("shard"),
-                shard.active_sessions as f64,
-            );
+        reg.gauge(
+            "ppt_shard_peak_retained_bytes",
+            "Largest retention-ring occupancy any one recorded session reached.",
+            vec![],
+            stats.peak_retained_bytes as f64,
+        );
+        for (mode, chunks) in
+            [("in_order", stats.chunks_in_order), ("speculative", stats.chunks_speculative)]
+        {
             reg.counter(
-                "ppt_shard_sessions_total",
-                "Sessions ever placed, by shard.",
-                label("shard"),
-                shard.sessions,
-            );
-            reg.counter(
-                "ppt_shard_matches_total",
-                "Query matches emitted by completed sessions, by shard.",
-                label("shard"),
-                shard.matches,
-            );
-            reg.counter(
-                "ppt_shard_frames_out_total",
-                "Match frames written, by shard.",
-                label("shard"),
-                shard.frames_out,
-            );
-            reg.counter(
-                "ppt_shard_bytes_out_total",
-                "Frame bytes written, by shard.",
-                label("shard"),
-                shard.bytes_out,
-            );
-            reg.gauge(
-                "ppt_shard_peak_retained_bytes",
-                "Largest retention-ring occupancy any one session reached, by shard.",
-                label("shard"),
-                shard.peak_retained_bytes as f64,
-            );
-            for (mode, chunks) in
-                [("in_order", shard.chunks_in_order), ("speculative", shard.chunks_speculative)]
-            {
-                reg.counter(
-                    "ppt_chunks_total",
-                    "Chunks run, by shard and mode: in order from the exact entry, or \
-                     speculatively from all states.",
-                    vec![("shard", shard.shard.to_string()), ("mode", mode.to_string())],
-                    chunks,
-                );
-            }
-            reg.gauge(
-                "ppt_shard_peak_queue_depth",
-                "Peak worker-pool chunks submitted and not yet started, by shard.",
-                label("shard"),
-                shard.peak_queue_depth as f64,
-            );
-            reg.gauge(
-                "ppt_shard_workers",
-                "Transducer worker threads, by shard.",
-                label("shard"),
-                shard.workers as f64,
+                "ppt_chunks_total",
+                "Chunks run, by mode: in order from the exact entry, or speculatively from \
+                 all states.",
+                vec![("mode", mode.to_string())],
+                chunks,
             );
         }
-        reg.counter(
-            "ppt_router_placements_total",
-            "Streams placed on a shard (one per accepted session).",
+        reg.gauge(
+            "ppt_shard_peak_queue_depth",
+            "Peak worker-pool chunks submitted and not yet started.",
             vec![],
-            stats.router.placements,
-        );
-        reg.counter(
-            "ppt_router_ring_lookups_total",
-            "Consistent-hash ring lookups (placements plus bare routes).",
-            vec![],
-            stats.router.ring_lookups,
+            stats.peak_queue_depth as f64,
         );
         reg.gauge(
-            "ppt_router_imbalance",
-            "Max per-shard placements over the per-shard mean (1.0 = balanced).",
+            "ppt_workers",
+            "Transducer worker threads.",
             vec![],
-            stats.router.imbalance,
+            self.runtime.workers() as f64,
         );
         let reactor = &stats.reactor;
         reg.gauge(
@@ -770,15 +600,10 @@ impl Shared {
             vec![],
             reactor.peak_registered_fds as f64,
         );
-        reg.counter(
-            "ppt_reactor_polls_total",
-            "poll(2) calls across all ingest threads.",
-            vec![],
-            reactor.polls,
-        );
+        reg.counter("ppt_reactor_polls_total", "poll(2) calls.", vec![], reactor.polls);
         reg.counter(
             "ppt_reactor_wakeups_total",
-            "Cross-thread wake-ups observed on the event fds.",
+            "Cross-thread wake-ups observed on the event fd.",
             vec![],
             reactor.wakeups,
         );
@@ -794,38 +619,37 @@ impl Shared {
             vec![],
             reactor.peak_outbox_bytes as f64,
         );
-        for (idx, telemetry) in self.router.telemetries().iter().enumerate() {
-            for (stage, hist) in telemetry.stages() {
-                reg.histogram(
-                    "ppt_stage_seconds",
-                    "Pipeline stage latency (split/transduce/fold/finalize), by shard.",
-                    vec![("stage", stage.to_string()), ("shard", idx.to_string())],
-                    hist.snapshot(),
-                    1e-9,
-                );
-            }
+        let telemetry = self.runtime.telemetry();
+        for (stage, hist) in telemetry.stages() {
             reg.histogram(
-                "ppt_chunk_bytes",
-                "Bytes per chunk submitted to the worker pool, by shard.",
-                vec![("shard", idx.to_string())],
-                telemetry.chunk_bytes.snapshot(),
-                1.0,
-            );
-            reg.histogram(
-                "ppt_ring_occupancy_bytes",
-                "Retention-ring occupancy sampled at retain and release, by shard.",
-                vec![("shard", idx.to_string())],
-                telemetry.ring_occupancy_bytes.snapshot(),
-                1.0,
-            );
-            reg.histogram(
-                "ppt_automaton_states",
-                "DFA states of every (merged) automaton the subscription layer compiled, by shard.",
-                vec![("shard", idx.to_string())],
-                telemetry.automaton_states.snapshot(),
-                1.0,
+                "ppt_stage_seconds",
+                "Pipeline stage latency (split/transduce/fold/finalize).",
+                vec![("stage", stage.to_string())],
+                hist.snapshot(),
+                1e-9,
             );
         }
+        reg.histogram(
+            "ppt_chunk_bytes",
+            "Bytes per chunk submitted to the worker pool.",
+            vec![],
+            telemetry.chunk_bytes.snapshot(),
+            1.0,
+        );
+        reg.histogram(
+            "ppt_ring_occupancy_bytes",
+            "Retention-ring occupancy sampled at retain and release.",
+            vec![],
+            telemetry.ring_occupancy_bytes.snapshot(),
+            1.0,
+        );
+        reg.histogram(
+            "ppt_automaton_states",
+            "DFA states of every (merged) automaton the subscription layer compiled.",
+            vec![],
+            telemetry.automaton_states.snapshot(),
+            1.0,
+        );
         {
             let (hub, _) = lock_recover(&self.hub);
             reg.gauge(
@@ -922,9 +746,6 @@ pub struct ConnectionReport {
     /// The connection's stream id — the one the client registered, or the
     /// server-assigned unique id when the handshake had no `STREAM` line.
     pub stream_id: u64,
-    /// The shard the stream was placed on (always 0 on an unsharded
-    /// server).
-    pub shard: usize,
     /// The registered query texts, in id order.
     pub queries: Vec<String>,
     /// The negotiated frame format.
@@ -964,13 +785,20 @@ pub struct ServerStats {
     pub frames_out: u64,
     /// Bytes written across all connections.
     pub bytes_out: u64,
-    /// Event-loop accounting, all ingest threads summed.
+    /// Query matches emitted by the recorded sessions.
+    pub matches: u64,
+    /// The largest retention-ring occupancy any one recorded session
+    /// reached.
+    pub peak_retained_bytes: usize,
+    /// Peak number of chunks submitted to the worker pool and not yet
+    /// started.
+    pub peak_queue_depth: usize,
+    /// Chunks the workers ran in order, from their exact entry.
+    pub chunks_in_order: u64,
+    /// Chunks the workers ran speculatively, from all states.
+    pub chunks_speculative: u64,
+    /// Event-loop accounting.
     pub reactor: ReactorStats,
-    /// Per-shard accounting, ring order (a single entry on an unsharded
-    /// server).
-    pub shards: Vec<ShardStats>,
-    /// Placement-ring counters (placements, lookups, imbalance).
-    pub router: RouterStats,
     /// Per-connection reports, oldest first (bounded; the counters above
     /// keep counting beyond the cap).
     pub connections: Vec<ConnectionReport>,
@@ -1219,25 +1047,20 @@ pub struct Registration {
     pub attached: bool,
 }
 
-/// Client-side helper: writes `request`'s handshake onto `stream` and reads
-/// the server's one-line verdict. On acceptance the session's stream id and
-/// the per-query ids come back; every byte after the reply line is left
-/// unread in the socket for the caller's frame decoder.
-///
-/// (The reply is read byte-by-byte up to the first `\n` — a buffered reader
-/// here would swallow the head of the frame stream.)
-pub fn register(
-    stream: &mut TcpStream,
-    request: &HandshakeRequest,
-) -> Result<Registration, ClientError> {
-    stream.write_all(&request.encode())?;
-    stream.flush()?;
+/// Ceiling on the metrics page [`scrape`] accepts. The length comes from
+/// the peer's `OK STATS <len>` line; a larger claim is refused instead of
+/// trusted.
+const MAX_STATS_PAGE_BYTES: usize = 64 << 20;
+
+/// Reads the server's one-line reply up to the first `\n`, byte by byte —
+/// a buffered reader here would swallow the head of the frame stream.
+fn read_reply_line(stream: &mut TcpStream) -> Result<String, ClientError> {
     let mut line = Vec::new();
     let mut byte = [0u8; 1];
     loop {
         match stream.read(&mut byte) {
             Ok(0) => return Err(ClientError::BadReply(String::from_utf8_lossy(&line).into())),
-            Ok(_) if byte[0] == b'\n' => break,
+            Ok(_) if byte[0] == b'\n' => return Ok(String::from_utf8_lossy(&line).into()),
             Ok(_) => {
                 if line.len() > DEFAULT_MAX_HANDSHAKE_LINE {
                     return Err(ClientError::BadReply("reply line never ended".to_string()));
@@ -1248,7 +1071,19 @@ pub fn register(
             Err(e) => return Err(ClientError::Io(e)),
         }
     }
-    let text = String::from_utf8_lossy(&line);
+}
+
+/// Client-side helper: writes `request`'s handshake onto `stream` and reads
+/// the server's one-line verdict. On acceptance the session's stream id and
+/// the per-query ids come back; every byte after the reply line is left
+/// unread in the socket for the caller's frame decoder.
+pub fn register(
+    stream: &mut TcpStream,
+    request: &HandshakeRequest,
+) -> Result<Registration, ClientError> {
+    stream.write_all(&request.encode())?;
+    stream.flush()?;
+    let text = read_reply_line(stream)?;
     match HandshakeReply::decode(&text) {
         Ok(HandshakeReply::Accepted { stream, queries }) => {
             Ok(Registration { stream_id: stream, query_ids: queries, attached: false })
@@ -1257,42 +1092,38 @@ pub fn register(
             Ok(Registration { stream_id: stream, query_ids: queries, attached: true })
         }
         Ok(HandshakeReply::Rejected(reason)) => Err(ClientError::Rejected(reason)),
-        Err(_) => Err(ClientError::BadReply(text.into())),
+        Err(_) => Err(ClientError::BadReply(text)),
     }
 }
 
 /// Client-side scrape helper: performs a `STATS` handshake against `addr`
 /// and returns the server's live metrics page (the same Prometheus-style
-/// text the admin listener serves at `/metrics`).
+/// text the admin listener serves at `/metrics`). A claimed page length
+/// above 64 MiB is refused with [`ClientError::BadReply`], and a page cut
+/// short by the peer is an [`ClientError::Io`] error.
 pub fn scrape<A: ToSocketAddrs>(addr: A) -> Result<String, ClientError> {
     let mut stream = TcpStream::connect(addr)?;
     stream.write_all(&HandshakeRequest::stats().encode())?;
     stream.flush()?;
-    let mut line = Vec::new();
-    let mut byte = [0u8; 1];
-    loop {
-        match stream.read(&mut byte) {
-            Ok(0) => return Err(ClientError::BadReply(String::from_utf8_lossy(&line).into())),
-            Ok(_) if byte[0] == b'\n' => break,
-            Ok(_) => {
-                if line.len() > DEFAULT_MAX_HANDSHAKE_LINE {
-                    return Err(ClientError::BadReply("reply line never ended".to_string()));
-                }
-                line.push(byte[0]);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(ClientError::Io(e)),
-        }
-    }
-    let text = String::from_utf8_lossy(&line).into_owned();
+    let text = read_reply_line(&mut stream)?;
     let Some(rest) = text.strip_prefix("OK STATS ") else {
         return match text.strip_prefix("ERR ") {
             Some(reason) => Err(ClientError::Rejected(reason.to_string())),
             None => Err(ClientError::BadReply(text)),
         };
     };
-    let len: usize = rest.trim().parse().map_err(|_| ClientError::BadReply(text.clone()))?;
-    let mut page = vec![0u8; len];
-    stream.read_exact(&mut page)?;
+    let len = match rest.trim().parse::<usize>() {
+        Ok(len) if len <= MAX_STATS_PAGE_BYTES => len,
+        _ => return Err(ClientError::BadReply(text)),
+    };
+    // Grown as bytes arrive, never sized up front from the peer's claim.
+    let mut page = Vec::new();
+    stream.take(len as u64).read_to_end(&mut page)?;
+    if page.len() < len {
+        return Err(ClientError::Io(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            format!("metrics page truncated at {} of {len} bytes", page.len()),
+        )));
+    }
     Ok(String::from_utf8_lossy(&page).into_owned())
 }

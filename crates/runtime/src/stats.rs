@@ -169,21 +169,19 @@ pub struct RuntimeStats {
     pub elapsed: Duration,
 }
 
-/// A point-in-time snapshot of the reactor's event-loop accounting (all
-/// ingest threads summed), carried in
-/// [`crate::serve::ServerStats::reactor`].
+/// A point-in-time snapshot of the reactor's event-loop accounting, carried
+/// in [`crate::serve::ServerStats::reactor`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ReactorStats {
     /// File descriptors currently registered with the event loop
-    /// (connections plus the listener and the wake fd of each ingest
-    /// thread).
+    /// (connections plus the listener and the wake fd).
     pub registered_fds: usize,
     /// Peak number of registered file descriptors.
     pub peak_registered_fds: usize,
-    /// `poll(2)` calls made across all ingest threads.
+    /// `poll(2)` calls made by the ingest thread.
     pub polls: u64,
     /// Cross-thread wake-ups observed on the eventfd (credit returns,
-    /// joiner completions, shutdown, connection hand-offs).
+    /// joiner completions, frame deliveries, shutdown).
     pub wakeups: u64,
     /// Readiness events dispatched to connection state machines (one per
     /// ready fd per poll round).
@@ -191,54 +189,6 @@ pub struct ReactorStats {
     /// Peak bytes any single connection's outbox held at once (framed
     /// matches waiting for the socket to accept them).
     pub peak_outbox_bytes: usize,
-}
-
-/// Accounting for one shard of a sharded server (see [`crate::shard`]),
-/// carried in [`crate::serve::ServerStats::shards`]. A one-shard server
-/// reports a single entry, so dashboards read the same shape at every
-/// scale.
-#[derive(Debug, Clone, Default)]
-pub struct ShardStats {
-    /// The shard's index on the ring.
-    pub shard: usize,
-    /// Transducer worker threads this shard's runtime owns.
-    pub workers: usize,
-    /// Sessions currently being served on this shard.
-    pub active_sessions: usize,
-    /// Sessions ever placed on this shard.
-    pub sessions: u64,
-    /// Query matches the shard's completed sessions emitted.
-    pub matches: u64,
-    /// Frames written by this shard's sessions.
-    pub frames_out: u64,
-    /// Bytes those frames covered.
-    pub bytes_out: u64,
-    /// The largest retention-ring occupancy any one of this shard's sessions
-    /// reached.
-    pub peak_retained_bytes: usize,
-    /// Peak number of chunks submitted to this shard's worker pool and not
-    /// yet started.
-    pub peak_queue_depth: usize,
-    /// Chunks this shard's workers ran in order.
-    pub chunks_in_order: u64,
-    /// Chunks this shard's workers ran speculatively, from all states.
-    pub chunks_speculative: u64,
-}
-
-/// Router-level counters of a sharded server (see
-/// [`crate::shard::ShardRouter`]), carried in
-/// [`crate::serve::ServerStats::router`].
-#[derive(Debug, Clone, Default)]
-pub struct RouterStats {
-    /// Streams placed on a shard (one per accepted session).
-    pub placements: u64,
-    /// Ring lookups performed (placements plus bare routing queries).
-    pub ring_lookups: u64,
-    /// Placements per shard, ring order.
-    pub per_shard_placements: Vec<u64>,
-    /// Max per-shard placements over the per-shard mean (1.0 = perfectly
-    /// balanced; also 1.0 before any placement).
-    pub imbalance: f64,
 }
 
 impl RuntimeStats {

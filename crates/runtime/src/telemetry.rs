@@ -14,17 +14,14 @@
 //! Design rules:
 //!
 //! * **Recording is the hot path; scraping is not.** [`Histogram::record`]
-//!   is a handful of relaxed atomic adds. All aggregation — summing
-//!   per-shard instances, extracting quantiles, formatting text — happens
-//!   at scrape time on the scraper's thread.
+//!   is a handful of relaxed atomic adds. All aggregation — extracting
+//!   quantiles, formatting text — happens at scrape time on the scraper's
+//!   thread.
 //! * **Buckets are powers of two.** A value lands in bucket
 //!   `64 − leading_zeros(v)` (bucket 0 holds exact zeros), so bucket `i`
 //!   covers `[2^(i−1), 2^i)`. Quantiles come back as the upper bound of the
 //!   covering bucket — within 2× of exact, which is what capacity planning
 //!   needs and all a lock-free fixed-size layout can give.
-//! * **Merging is addition.** A sharded server keeps one
-//!   [`RuntimeTelemetry`] per shard; the scrape sums bucket arrays into an
-//!   aggregate [`HistogramSnapshot`] without ever stopping a recorder.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -175,7 +172,7 @@ impl Histogram {
     }
 }
 
-/// An owned copy of a [`Histogram`], mergeable and queryable.
+/// An owned copy of a [`Histogram`], queryable.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Observation count per log₂ bucket (see [`bucket_bound`]).
@@ -193,20 +190,6 @@ impl Default for HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// An all-zero snapshot (the merge identity).
-    pub fn empty() -> HistogramSnapshot {
-        HistogramSnapshot::default()
-    }
-
-    /// Adds another snapshot into this one (per-shard aggregation).
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        for (mine, theirs) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *mine += theirs;
-        }
-        self.sum += other.sum;
-        self.count += other.count;
-    }
-
     /// The value at quantile `q ∈ [0, 1]`, as the upper bound of the bucket
     /// holding the rank-`⌈q·count⌉` observation. `None` when empty.
     pub fn quantile(&self, q: f64) -> Option<u64> {
@@ -230,9 +213,8 @@ impl HistogramSnapshot {
     }
 }
 
-/// Per-runtime (= per-shard) pipeline histograms. One instance per
-/// [`crate::Runtime`], shared by every session it runs; a sharded server
-/// aggregates them across shards at scrape time.
+/// Per-runtime pipeline histograms. One instance per [`crate::Runtime`],
+/// shared by every session it runs.
 #[derive(Debug, Default)]
 pub struct RuntimeTelemetry {
     /// Splitter time per feed call — lexing window boundaries and chopping
@@ -278,8 +260,6 @@ impl RuntimeTelemetry {
 pub enum EventKind {
     /// Handshake accepted, stream registered.
     Registered,
-    /// Stream placed on a shard by the router.
-    Placed,
     /// Session died (a pipeline stage panicked or an invariant broke).
     Poisoned,
     /// Connection reaped by the idle timeout.
@@ -293,7 +273,6 @@ impl EventKind {
     pub fn as_str(&self) -> &'static str {
         match self {
             EventKind::Registered => "registered",
-            EventKind::Placed => "placed",
             EventKind::Poisoned => "poisoned",
             EventKind::IdleReaped => "idle-reaped",
             EventKind::Drained => "drained",
@@ -311,8 +290,6 @@ pub struct Event {
     pub kind: EventKind,
     /// The stream the event belongs to.
     pub stream_id: u64,
-    /// The shard the stream lives on (0 on an unsharded server).
-    pub shard: usize,
 }
 
 /// Default journal capacity (entries).
@@ -349,7 +326,7 @@ impl EventJournal {
     }
 
     /// Appends an event, evicting the oldest entry when full.
-    pub fn record(&self, kind: EventKind, stream_id: u64, shard: usize) {
+    pub fn record(&self, kind: EventKind, stream_id: u64) {
         let at_micros = u64::try_from(self.started.elapsed().as_micros()).unwrap_or(u64::MAX);
         // Poison recovery: a VecDeque is structurally valid even if a holder
         // panicked, and the journal must keep accepting events regardless.
@@ -358,7 +335,7 @@ impl EventJournal {
             ring.pop_front();
             self.dropped.fetch_add(1, Ordering::Relaxed);
         }
-        ring.push_back(Event { at_micros, kind, stream_id, shard });
+        ring.push_back(Event { at_micros, kind, stream_id });
     }
 
     /// Entries evicted because the ring was full.
@@ -374,7 +351,7 @@ impl EventJournal {
     }
 
     /// The journal as text, one event per line:
-    /// `<at_micros> <kind> stream=<id> shard=<n>`.
+    /// `<at_micros> <kind> stream=<id>`.
     pub fn render_text(&self) -> String {
         let events = self.events();
         let mut out = String::with_capacity(events.len() * 48 + 64);
@@ -385,13 +362,7 @@ impl EventJournal {
             self.capacity
         ));
         for e in events {
-            out.push_str(&format!(
-                "{} {} stream={} shard={}\n",
-                e.at_micros,
-                e.kind.as_str(),
-                e.stream_id,
-                e.shard
-            ));
+            out.push_str(&format!("{} {} stream={}\n", e.at_micros, e.kind.as_str(), e.stream_id));
         }
         out
     }
@@ -523,7 +494,7 @@ impl Registry {
     }
 
     /// Sums every sample of family `name` across its labelled series
-    /// (reconciliation hook: per-shard label sums vs the server totals).
+    /// (reconciliation hook: label sums vs the server totals).
     pub fn sample_sum(&self, name: &str) -> Option<f64> {
         self.families
             .iter()
@@ -726,22 +697,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_sums_buckets_and_totals() {
-        let a = Histogram::new();
-        let b = Histogram::new();
-        a.record(5);
-        a.record(5);
-        b.record(5);
-        b.record(1_000);
-        let mut merged = a.snapshot();
-        merged.merge(&b.snapshot());
-        assert_eq!(merged.count, 4);
-        assert_eq!(merged.sum, 1_015);
-        assert_eq!(merged.buckets[bucket_index(5)], 3);
-        assert_eq!(merged.buckets[bucket_index(1_000)], 1);
-    }
-
-    #[test]
     fn zero_values_land_in_the_zero_bucket() {
         let h = Histogram::new();
         h.record(0);
@@ -754,22 +709,22 @@ mod tests {
     fn journal_bounds_and_reports_drops() {
         let journal = EventJournal::new(3);
         for id in 0..5u64 {
-            journal.record(EventKind::Registered, id, 0);
+            journal.record(EventKind::Registered, id);
         }
         let events = journal.events();
         assert_eq!(events.len(), 3);
         assert_eq!(journal.dropped(), 2);
         assert_eq!(events[0].stream_id, 2, "oldest entries evicted first");
         let text = journal.render_text();
-        assert!(text.contains("registered stream=4 shard=0"), "{text}");
+        assert!(text.contains("registered stream=4\n"), "{text}");
         assert!(text.starts_with("# event journal: 3 events, 2 dropped"), "{text}");
     }
 
     #[test]
     fn journal_timestamps_are_monotone() {
         let journal = EventJournal::new(8);
-        journal.record(EventKind::Placed, 1, 0);
-        journal.record(EventKind::Drained, 1, 0);
+        journal.record(EventKind::Registered, 1);
+        journal.record(EventKind::Drained, 1);
         let events = journal.events();
         assert!(events[0].at_micros <= events[1].at_micros);
     }
@@ -780,7 +735,7 @@ mod tests {
     fn exposition_format_golden() {
         let mut registry = Registry::new();
         registry.counter("ppt_requests_total", "Requests served.", vec![], 7);
-        registry.gauge("ppt_active", "Active sessions.", vec![("shard", "0".to_string())], 2.0);
+        registry.gauge("ppt_active", "Active sessions.", vec![("format", "json".to_string())], 2.0);
         let h = Histogram::new();
         h.record(3); // bucket 2 (le 3)
         h.record(3);
@@ -799,7 +754,7 @@ mod tests {
 ppt_requests_total 7
 # HELP ppt_active Active sessions.
 # TYPE ppt_active gauge
-ppt_active{shard=\"0\"} 2
+ppt_active{format=\"json\"} 2
 # HELP ppt_latency_seconds Stage latency.
 # TYPE ppt_latency_seconds histogram
 ppt_latency_seconds_bucket{stage=\"fold\",le=\"0\"} 0
@@ -835,15 +790,15 @@ ppt_latency_seconds_p99{stage=\"fold\"} 1023
     #[test]
     fn sample_sum_reconciles_labelled_series() {
         let mut registry = Registry::new();
-        for (shard, v) in [(0u32, 3u64), (1, 4), (2, 5)] {
+        for (mode, v) in [("in_order", 3u64), ("speculative", 4), ("other", 5)] {
             registry.counter(
-                "ppt_shard_sessions_total",
-                "Sessions per shard.",
-                vec![("shard", shard.to_string())],
+                "ppt_chunks_total",
+                "Chunks per mode.",
+                vec![("mode", mode.to_string())],
                 v,
             );
         }
-        assert_eq!(registry.sample_sum("ppt_shard_sessions_total"), Some(12.0));
+        assert_eq!(registry.sample_sum("ppt_chunks_total"), Some(12.0));
         assert_eq!(registry.sample_sum("missing"), None);
     }
 

@@ -14,11 +14,11 @@
 //!   single- and multi-writer (the multi-writer case is why `record`
 //!   serializes writers on the reports mutex; the unserialized variant is
 //!   kept as a "teeth" test proving the checker would catch the regression);
-//! - `Histogram` record/snapshot/merge (`crates/runtime/src/telemetry.rs`)
+//! - `Histogram` record/snapshot (`crates/runtime/src/telemetry.rs`)
 //!   — snapshots never undercount their own buckets and totals are
 //!   conserved once writers drain;
 //! - the `Gate` connection-admission credit protocol
-//!   (`crates/runtime/src/serve.rs`) — ingest threads acquiring and
+//!   (`crates/runtime/src/serve.rs`) — admitting threads acquiring and
 //!   releasing around a concurrent `close` conserve slots (no double-free,
 //!   never above capacity);
 //! - the `delivering`-flag drop-accounting race between the joiner panic
@@ -496,7 +496,7 @@ fn seqlock_single_writer_never_torn() {
 /// Teeth: two unserialized writers break epoch parity (both bump the epoch
 /// to an even value while counters are still mid-update), so some
 /// interleaving yields a *validated* torn snapshot — the bug concurrent
-/// recorders (several ingest threads closing connections) would hit; the
+/// recorders (several threads closing connections) would hit; the
 /// exhaustive search must find it, proving the harness can catch the
 /// regression.
 #[test]
@@ -658,28 +658,6 @@ fn histogram_snapshot_conserves_counts() {
     );
 }
 
-/// Merge is plain sequential arithmetic over snapshots — checked directly
-/// against the real type rather than a model.
-#[test]
-fn histogram_merge_conserves_counts() {
-    use ppt_runtime::telemetry::{Histogram, HistogramSnapshot};
-    let a = Histogram::default();
-    let b = Histogram::default();
-    for v in [0u64, 1, 2, 1000, u64::MAX] {
-        a.record(v);
-    }
-    for v in [3u64, 7] {
-        b.record(v);
-    }
-    let mut merged = HistogramSnapshot::default();
-    merged.merge(&a.snapshot());
-    merged.merge(&b.snapshot());
-    assert_eq!(merged.count, 7);
-    let bucket_total: u64 = merged.buckets.iter().sum();
-    assert_eq!(bucket_total, 7);
-    assert_eq!(merged.sum, 0u64.wrapping_add(1 + 2 + 1000 + 3 + 7).wrapping_add(u64::MAX));
-}
-
 // ---------------------------------------------------------------------------
 // Model: the Gate connection-admission credit protocol (serve.rs)
 // ---------------------------------------------------------------------------
@@ -690,8 +668,8 @@ fn histogram_merge_conserves_counts() {
 // `release` adds a slot back under the lock; `close` stores the flag. Each
 // modelled ingest thread admits connections: it calls `try_acquire` up to
 // `attempts` times, and every slot it wins is a live connection it later
-// releases. (In the reactor only ingest thread 0 acquires and whichever
-// thread owns the connection releases; letting every thread do both is a
+// releases. (The reactor's one ingest thread does both while `close` comes
+// from the shutdown caller's thread; several admitting threads are a
 // superset of those schedules.) A closer races them all. The invariants: the
 // slot count never exceeds capacity (a double-release would), every missing
 // slot is held by exactly one live connection, an acquire that saw the gate

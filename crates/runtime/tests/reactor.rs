@@ -1,11 +1,9 @@
 //! The poll(2) reactor behind the server, exercised over real localhost sockets:
-//! byte-correctness against the batch engine across both wire formats and
-//! multiple ingest threads, partial handshake lines spread over many
-//! readiness events, outbox backpressure bounding both the egress buffer and
-//! the retention ring, mid-stream hang-ups poisoning only their own session,
-//! shutdown while the admission gate is exhausted (the self-connect-wake
-//! regression), and a proptest over interleaved readable/writable readiness
-//! orderings.
+//! partial handshake lines spread over many readiness events, outbox
+//! backpressure bounding both the egress buffer and the retention ring,
+//! mid-stream hang-ups poisoning only their own session, shutdown while the
+//! admission gate is exhausted (the self-connect-wake regression), and a
+//! proptest over interleaved readable/writable readiness orderings.
 #![cfg(unix)]
 
 use ppt_core::Engine;
@@ -132,58 +130,6 @@ fn assert_frames_match(
         }
     }
     assert!(expected.is_empty(), "batch matches never served: {expected:?}");
-}
-
-#[test]
-fn reactor_serves_both_formats_across_multiple_ingest_threads() {
-    let queries = ["//item/k", "/stream/item/id"];
-    let doc = Arc::new(make_doc(300));
-    let expected = batch_reference(&queries, &doc);
-
-    let runtime = Arc::new(Runtime::builder().workers(2).inflight_chunks(8).build());
-    let server = TcpServer::builder()
-        .ingest_threads(2)
-        .join_threads(2)
-        .chunk_size(512)
-        .window_size(4096)
-        .bind("127.0.0.1:0", runtime)
-        .expect("bind");
-    let addr = server.local_addr();
-
-    let mut clients = Vec::new();
-    for (stream_id, format) in
-        [(7u64, WireFormat::JsonLines), (9, WireFormat::Binary), (11, WireFormat::JsonLines)]
-    {
-        let doc = Arc::clone(&doc);
-        let request = HandshakeRequest::new(format)
-            .query(queries[0])
-            .query(queries[1])
-            .retain_bytes(1 << 20)
-            .stream_id(stream_id);
-        clients.push(std::thread::spawn(move || {
-            (stream_id, run_client(addr, request, doc, 4096, None))
-        }));
-    }
-    for client in clients {
-        let (stream_id, frames) = client.join().expect("client thread");
-        assert!(!frames.is_empty());
-        assert!(frames.iter().all(|f| f.stream == stream_id), "frames carry the stream id");
-        assert_frames_match(&frames, expected.clone(), Some(&doc));
-    }
-
-    let stats = server.shutdown();
-    assert_eq!(stats.accepted, 3);
-    assert_eq!(stats.sessions_completed, 3);
-    assert_eq!(stats.sessions_failed, 0);
-    assert_eq!(stats.active, 0);
-    let reactor = stats.reactor;
-    assert!(reactor.polls > 0, "the loop polled: {reactor:?}");
-    assert!(reactor.wakeups > 0, "credit returns woke the loop: {reactor:?}");
-    assert!(reactor.readiness_dispatches > 0, "sockets reported readiness: {reactor:?}");
-    // 2 ingest wake fds + listener + 3 connections at the high-water mark is
-    // the ceiling; at least wake fds + listener + one connection must have
-    // been registered at once.
-    assert!(reactor.peak_registered_fds >= 4, "{reactor:?}");
 }
 
 #[test]
@@ -398,9 +344,9 @@ fn poisoned_session_releases_borrowed_egress_refcounts() {
 
 /// The shutdown regression: the old wake-up was a self-connect, which can
 /// block against a saturated backlog exactly when the server is at
-/// `max_connections`. Shutdown wakes the ingest threads through their
-/// eventfds, so it must complete promptly even while the admission gate is
-/// fully exhausted by an in-flight session.
+/// `max_connections`. Shutdown wakes the ingest thread through its eventfd,
+/// so it must complete promptly even while the admission gate is fully
+/// exhausted by an in-flight session.
 #[test]
 fn shutdown_completes_while_gate_exhausted_reactor() {
     let doc = Arc::new(make_doc(200));

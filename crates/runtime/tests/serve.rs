@@ -1,18 +1,19 @@
 //! The TCP serving front-end, exercised over real localhost sockets: the
 //! query-registration handshake (well-formed, malformed, fragmented),
 //! end-to-end frame correctness against the batch engine, structured
-//! rejections, per-session failure isolation, and backpressure bounding
-//! retention for slow clients.
+//! rejections, per-session failure isolation, backpressure bounding
+//! retention for slow clients, and the client helpers against hostile
+//! servers.
 
 use ppt_core::Engine;
-use ppt_runtime::serve::{register, ClientError, TcpServer};
+use ppt_runtime::serve::{register, scrape, ClientError, TcpServer};
 use ppt_runtime::{Frame, FrameDecoder, HandshakeDecoder, HandshakeRequest, Runtime, WireFormat};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::io::{Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A document with `items` matching `//item/k` elements.
 fn make_doc(items: usize) -> Vec<u8> {
@@ -178,6 +179,13 @@ fn serves_json_and_binary_clients_concurrently_reactor() {
         assert_eq!(report.stats.payload_misses, 0);
         assert_eq!(conn.queries, queries);
     }
+    let reactor = stats.reactor;
+    assert!(reactor.polls > 0, "the loop polled: {reactor:?}");
+    assert!(reactor.wakeups > 0, "credit returns woke the loop: {reactor:?}");
+    assert!(reactor.readiness_dispatches > 0, "sockets reported readiness: {reactor:?}");
+    // The wake fd and the listener are registered for the server's whole
+    // life, so at least one connection beside them is the floor.
+    assert!(reactor.peak_registered_fds >= 3, "{reactor:?}");
 }
 
 #[test]
@@ -749,4 +757,57 @@ fn a_finished_stream_id_is_reusable_reactor() {
         assert_frames_match(&frames, expected.clone(), Some(&doc));
     }
     server.shutdown();
+}
+
+// ---------------------------------------------------------------------------
+// The client helpers against a hostile server
+// ---------------------------------------------------------------------------
+
+/// A fake server for one `STATS` handshake: reads the request, writes
+/// `reply`, and holds the connection open until `close` fires — so a client
+/// that waits for bytes the reply promised would hang, not fail.
+fn fake_stats_server(
+    reply: &'static [u8],
+) -> (SocketAddr, std::sync::mpsc::Sender<()>, std::thread::JoinHandle<()>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let (close, closed) = std::sync::mpsc::channel::<()>();
+    let server = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().expect("accept");
+        let request = HandshakeRequest::stats().encode();
+        let mut seen = vec![0u8; request.len()];
+        stream.read_exact(&mut seen).expect("read the STATS request");
+        stream.write_all(reply).expect("reply");
+        let _ = closed.recv_timeout(Duration::from_secs(30));
+    });
+    (addr, close, server)
+}
+
+#[test]
+fn scrape_refuses_a_page_length_it_cannot_trust() {
+    let (addr, close, server) = fake_stats_server(b"OK STATS 18446744073709551615\n");
+    let started = Instant::now();
+    let result = scrape(addr);
+    assert!(started.elapsed() < Duration::from_secs(5), "refused without reading the page");
+    match result {
+        Err(ClientError::BadReply(line)) => assert!(line.contains("18446744073709551615")),
+        other => panic!("a huge claimed length must be refused: {other:?}"),
+    }
+    let _ = close.send(());
+    server.join().expect("fake server");
+}
+
+#[test]
+fn scrape_reports_a_truncated_page_as_an_error() {
+    let (addr, close, server) = fake_stats_server(b"OK STATS 100\n# HELP ppt_x");
+    // The peer closes after ten of the hundred promised bytes.
+    let _ = close.send(());
+    let started = Instant::now();
+    let result = scrape(addr);
+    assert!(started.elapsed() < Duration::from_secs(5), "EOF ends the read");
+    match result {
+        Err(ClientError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof),
+        other => panic!("a truncated page must be an error: {other:?}"),
+    }
+    server.join().expect("fake server");
 }

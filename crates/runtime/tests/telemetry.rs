@@ -1,8 +1,8 @@
 //! The observability surface, end to end: the in-band `STATS` verb and the
-//! admin HTTP listener against live loaded servers, per-shard metric labels
-//! reconciling with the router totals and [`ServerStats`], the event
-//! journal, and a property test that scraping never tears a histogram that
-//! is being recorded into concurrently.
+//! admin HTTP listener against live loaded servers, metric families
+//! reconciling with [`ServerStats`], the series external scrapers sum by
+//! name, the event journal, and a property test that scraping never tears a
+//! histogram that is being recorded into concurrently.
 
 use ppt_runtime::serve::{register, scrape, TcpServer};
 use ppt_runtime::telemetry::{Histogram, HISTOGRAM_BUCKETS};
@@ -81,15 +81,9 @@ fn value(page: &str, name: &str) -> f64 {
 // ---------------------------------------------------------------------------
 
 #[test]
-fn stats_verb_reconciles_per_shard_labels_with_router_totals() {
-    let shards = 4;
+fn stats_verb_reconciles_unlabeled_families_with_server_stats() {
     let runtime = Arc::new(Runtime::builder().workers(2).build());
-    let server = TcpServer::builder()
-        .shards(shards)
-        .shard_workers(2)
-        .chunk_size(512)
-        .bind("127.0.0.1:0", runtime)
-        .expect("bind");
+    let server = TcpServer::builder().chunk_size(512).bind("127.0.0.1:0", runtime).expect("bind");
     let addr = server.local_addr();
     let doc = make_doc(200);
     let sessions = 12u64;
@@ -102,38 +96,34 @@ fn stats_verb_reconciles_per_shard_labels_with_router_totals() {
     let page = scrape(addr).expect("STATS scrape");
     let stats = server.stats();
 
-    // Per-shard label sums must equal the router totals and the ServerStats
-    // snapshot — one source of truth, three surfaces.
-    let shard_sessions: f64 =
-        samples(&page, "ppt_shard_sessions_total").iter().map(|(_, v)| v).sum();
-    assert_eq!(shard_sessions as u64, sessions);
-    assert_eq!(value(&page, "ppt_router_placements_total") as u64, sessions);
-    assert_eq!(stats.router.placements, sessions);
+    // Every family is one unlabeled series that equals the ServerStats
+    // snapshot — one source of truth, two surfaces.
     assert_eq!(value(&page, "ppt_sessions_completed_total") as u64, sessions);
     assert_eq!(stats.sessions_completed, sessions);
-    let shard_matches: f64 = samples(&page, "ppt_shard_matches_total").iter().map(|(_, v)| v).sum();
-    assert_eq!(shard_matches as u64, sessions * 200, "200 matches per session");
+    assert_eq!(value(&page, "ppt_matches_total") as u64, sessions * 200, "200 per session");
+    assert_eq!(stats.matches, sessions * 200);
+    assert_eq!(value(&page, "ppt_frames_out_total") as u64, stats.frames_out);
+    assert_eq!(value(&page, "ppt_bytes_out_total") as u64, stats.bytes_out);
     assert_eq!(
-        value(&page, "ppt_frames_out_total") as u64,
-        stats.frames_out,
-        "frame totals agree with the stats snapshot"
+        value(&page, "ppt_shard_peak_retained_bytes") as usize,
+        stats.peak_retained_bytes,
+        "the peak is server-wide, whatever the family name says"
     );
+    assert_eq!(value(&page, "ppt_shard_peak_queue_depth") as usize, stats.peak_queue_depth);
+    let chunks: f64 = samples(&page, "ppt_chunks_total").iter().map(|(_, v)| v).sum();
+    assert_eq!(chunks as u64, stats.chunks_in_order + stats.chunks_speculative);
+    assert!(chunks > 0.0, "twelve sessions ran chunks");
+    assert_eq!(value(&page, "ppt_workers") as usize, 2);
 
-    // Every shard that served a session exposes per-stage latency
-    // histograms under its own label.
-    for shard in &stats.shards {
-        if shard.sessions == 0 {
-            continue;
-        }
-        for stage in ["split", "transduce", "fold", "finalize"] {
-            let want = format!("stage=\"{stage}\",shard=\"{}\"", shard.shard);
-            let count = samples(&page, "ppt_stage_seconds_count")
-                .iter()
-                .find(|(labels, _)| *labels == want)
-                .map(|(_, v)| *v)
-                .unwrap_or_else(|| panic!("missing ppt_stage_seconds_count{{{want}}}"));
-            assert!(count > 0.0, "stage {stage} on shard {} recorded nothing", shard.shard);
-        }
+    // The runtime's per-stage latency histograms carry only their stage.
+    for stage in ["split", "transduce", "fold", "finalize"] {
+        let want = format!("stage=\"{stage}\"");
+        let count = samples(&page, "ppt_stage_seconds_count")
+            .iter()
+            .find(|(labels, _)| *labels == want)
+            .map(|(_, v)| *v)
+            .unwrap_or_else(|| panic!("missing ppt_stage_seconds_count{{{want}}}"));
+        assert!(count > 0.0, "stage {stage} recorded nothing");
     }
 
     // Handshake latency: count covers every session handshake plus the
@@ -146,6 +136,41 @@ fn stats_verb_reconciles_per_shard_labels_with_router_totals() {
     assert_eq!(value(&page, "ppt_scrapes_total") as u64, 1);
     assert_eq!(value(&page, "ppt_handshake_rejects_total") as u64, 0);
     assert_eq!(server.stats().handshake_rejects, 0);
+    server.shutdown();
+}
+
+/// The series the frozen benchmark (`crates/bench/src/bin/benchmark/run.rs`)
+/// sums by name off a `STATS` page. A traced benchmark run exits non-zero on
+/// a missing one, so a renamed family must fail here first.
+const BENCHMARK_SERIES: [&str; 9] = [
+    "ppt_reactor_polls_total",
+    "ppt_reactor_wakeups_total",
+    "ppt_reactor_peak_outbox_bytes",
+    "ppt_egress_borrowed_bytes_total",
+    "ppt_egress_copied_bytes_total",
+    "ppt_shard_peak_retained_bytes",
+    "ppt_shard_peak_queue_depth",
+    "ppt_sessions_completed_total",
+    "ppt_sessions_failed_total",
+];
+
+#[test]
+fn stats_page_carries_every_series_the_benchmark_sums() {
+    let runtime = Arc::new(Runtime::builder().workers(2).build());
+    let server = TcpServer::bind("127.0.0.1:0", runtime).expect("bind");
+    run_client(
+        server.local_addr(),
+        HandshakeRequest::new(WireFormat::Binary).query("//item/k").retain_bytes(1 << 20),
+        &make_doc(50),
+    );
+    let page = scrape(server.local_addr()).expect("STATS scrape");
+    for series in BENCHMARK_SERIES {
+        let v = value(&page, series);
+        assert!(v.is_finite(), "{series} = {v}");
+    }
+    assert_eq!(value(&page, "ppt_sessions_completed_total"), 1.0);
+    assert!(!page.contains("shard="), "no series carries a placement label:\n{page}");
+    assert!(!page.contains("ppt_router_"), "no router families:\n{page}");
     server.shutdown();
 }
 
@@ -200,9 +225,10 @@ fn admin_endpoint_serves_metrics_journal_and_404() {
     let (status, journal) = http_get(admin, "/journal");
     assert_eq!(status, "HTTP/1.0 200 OK");
     assert!(journal.starts_with("# event journal:"), "journal header: {journal:?}");
-    for kind in ["registered", "placed", "drained"] {
+    for kind in ["registered", "drained"] {
         assert!(journal.contains(kind), "journal missing {kind:?}:\n{journal}");
     }
+    assert!(!journal.contains("shard="), "journal lines carry no placement:\n{journal}");
 
     let (status, _) = http_get(admin, "/bogus");
     assert_eq!(status, "HTTP/1.0 404 Not Found");

@@ -1,5 +1,5 @@
-//! Live observability walk-through: a sharded server under load, scraped
-//! twice, and the movement between the scrapes printed as a delta table.
+//! Live observability walk-through: a server under load, scraped twice, and
+//! the movement between the scrapes printed as a delta table.
 //!
 //! What it demonstrates (and asserts):
 //!
@@ -7,14 +7,14 @@
 //!   Prometheus-style text exposition over plain HTTP;
 //! * the **in-band `STATS` verb** (`serve::scrape`) returning the same
 //!   page shape through the ordinary `PPT/1` handshake port;
-//! * per-shard labels reconciling with the router totals and with
-//!   `TcpServer::stats()` — one registry, three surfaces;
+//! * the exposition reconciling with `TcpServer::stats()` — one registry,
+//!   two surfaces;
 //! * counters moving between scrapes exactly as much as the load applied
 //!   between them, and the event journal narrating the session lifecycle.
 //!
 //! ```sh
-//! cargo run --release --example metrics_scrape -- [shards] [sessions-per-wave]
-//! # defaults: 4 shards, 8 sessions per wave
+//! cargo run --release --example metrics_scrape -- [sessions-per-wave]
+//! # default: 8 sessions per wave
 //! ```
 
 use pp_xml::prelude::*;
@@ -78,14 +78,11 @@ fn samples(page: &str) -> BTreeMap<String, f64> {
 }
 
 fn main() {
-    let shards: usize = std::env::args().nth(1).and_then(|v| v.parse().ok()).unwrap_or(4);
-    let wave: usize = std::env::args().nth(2).and_then(|v| v.parse().ok()).unwrap_or(8);
+    let wave: usize = std::env::args().nth(1).and_then(|v| v.parse().ok()).unwrap_or(8);
     let items = 64;
 
     let runtime = Arc::new(Runtime::builder().workers(2).build());
     let server = TcpServer::builder()
-        .shards(shards)
-        .shard_workers(2)
         .chunk_size(512)
         .admin_addr("127.0.0.1:0")
         .bind("127.0.0.1:0", runtime)
@@ -93,7 +90,7 @@ fn main() {
     let addr = server.local_addr();
     let admin = server.admin_local_addr().expect("admin listener bound");
     let document = doc(items);
-    println!("serving on {addr}, admin on {admin} ({shards} shard(s))");
+    println!("serving on {addr}, admin on {admin}");
 
     // Wave 1, then the first scrape (admin endpoint).
     for id in 0..wave {
@@ -122,26 +119,19 @@ fn main() {
     }
     println!("({moved} series moved; histogram buckets elided)\n");
 
-    // The second wave must be exactly accounted: sessions, placements and
-    // per-shard label sums all advanced by `wave`.
+    // The second wave must be exactly accounted: sessions and matches both
+    // advanced by one wave's worth.
     let get = |m: &BTreeMap<String, f64>, k: &str| m.get(k).copied().unwrap_or(0.0);
     let sessions_delta =
         get(&second, "ppt_sessions_completed_total") - get(&first, "ppt_sessions_completed_total");
     assert_eq!(sessions_delta as usize, wave, "second wave exactly accounted");
-    let placements_delta =
-        get(&second, "ppt_router_placements_total") - get(&first, "ppt_router_placements_total");
-    assert_eq!(placements_delta as usize, wave);
-    let shard_sessions: f64 = second
-        .iter()
-        .filter(|(k, _)| k.starts_with("ppt_shard_sessions_total{"))
-        .map(|(_, v)| v)
-        .sum();
-    assert_eq!(shard_sessions as usize, 2 * wave, "per-shard labels sum to the total");
+    let matches_delta = get(&second, "ppt_matches_total") - get(&first, "ppt_matches_total");
+    assert_eq!(matches_delta as usize, wave * items, "one match per item per session");
 
     // And both reconcile with the stats snapshot — one source of truth.
     let stats = server.stats();
     assert_eq!(stats.sessions_completed as usize, 2 * wave);
-    assert_eq!(stats.router.placements as usize, 2 * wave);
+    assert_eq!(stats.matches as usize, 2 * wave * items);
     assert_eq!(
         get(&second, "ppt_frames_out_total") as u64,
         stats.frames_out,
@@ -154,5 +144,5 @@ fn main() {
     assert_eq!(drained, 2 * wave, "every session journaled as drained:\n{journal}");
 
     server.shutdown();
-    println!("OK: {} sessions over {shards} shard(s), both scrape surfaces reconciled", 2 * wave);
+    println!("OK: {} sessions, both scrape surfaces reconciled", 2 * wave);
 }

@@ -18,14 +18,9 @@
 //!   byte-identical payloads.
 //!
 //! ```sh
-//! cargo run --release --example tcp_storm -- [clients] [items-per-client] [shards]
-//! # defaults: 256 clients, 24 items each, 1 shard
+//! cargo run --release --example tcp_storm -- [clients] [items-per-client]
+//! # defaults: 256 clients, 24 items each
 //! ```
-//!
-//! With `shards > 1` the same storm runs against a sharded server (each
-//! shard its own runtime, connections placed by consistent hashing on their
-//! stream ids): the thread ceiling grows with the *shard count* — a fixed
-//! configuration choice — and stays flat in the number of connections.
 
 use pp_xml::prelude::*;
 use pp_xml::runtime::serve::TcpServer;
@@ -39,15 +34,12 @@ use std::time::{Duration, Instant};
 /// the scenario the reactor exists for.
 const WRITE_SLICE: usize = 257;
 
-/// The fixed thread ceiling for `shards` shards: main + 1 ingest + 1 admin
-/// listener + per shard (2 join + 2 workers), plus headroom for the
-/// runtime's own bookkeeping — 17 at one shard. The essential property: the
-/// ceiling depends on the *configuration*, not on the connection count; a
-/// thread-per-connection server would sit at ~`clients` threads during the
-/// storm.
-fn thread_ceiling(shards: usize) -> usize {
-    13 + 4 * shards
-}
+/// The fixed thread ceiling: main + 1 ingest + 1 admin listener + 2 join +
+/// 2 workers, plus headroom for the runtime's own bookkeeping. The essential
+/// property: the ceiling depends on the *configuration*, not on the
+/// connection count; a thread-per-connection server would sit at
+/// ~`clients` threads during the storm.
+const THREAD_CEILING: usize = 17;
 
 /// One slow client, driven round-robin by the main thread.
 struct StormClient {
@@ -103,8 +95,6 @@ fn process_threads() -> Option<usize> {
 fn main() {
     let clients: usize = std::env::args().nth(1).and_then(|v| v.parse().ok()).unwrap_or(256);
     let items: usize = std::env::args().nth(2).and_then(|v| v.parse().ok()).unwrap_or(24);
-    let shards: usize = std::env::args().nth(3).and_then(|v| v.parse().ok()).unwrap_or(1);
-    let thread_ceiling = thread_ceiling(shards);
     let query = "//item/k";
 
     // Per-client documents and their batch references.
@@ -125,10 +115,6 @@ fn main() {
 
     let runtime = Arc::new(Runtime::builder().workers(2).inflight_chunks(8).build());
     let server = TcpServer::builder()
-        .ingest_threads(1)
-        .join_threads(2)
-        .shards(shards)
-        .shard_workers(2)
         .max_connections(clients.max(1))
         .chunk_size(512)
         .window_size(2048)
@@ -137,10 +123,7 @@ fn main() {
         .expect("bind loopback");
     let addr = server.local_addr();
     let admin_addr = server.admin_local_addr().expect("admin listener bound");
-    println!(
-        "storming {addr} with {clients} slow clients over {shards} shard(s) \
-         ({total_bytes} bytes total)..."
-    );
+    println!("storming {addr} with {clients} slow clients ({total_bytes} bytes total)...");
 
     let baseline_threads = process_threads();
     let started = Instant::now();
@@ -319,33 +302,18 @@ fn main() {
         "the poll set actually carried the storm: {reactor:?}"
     );
 
-    // Sharded runs surface the placement spread alongside the totals.
-    if shards > 1 {
-        assert_eq!(stats.shards.len(), shards);
-        assert_eq!(stats.router.placements as usize, clients);
-        let spread: Vec<u64> = stats.router.per_shard_placements.clone();
-        println!(
-            "router: {} placements over {shards} shards {spread:?}, imbalance {:.2}",
-            stats.router.placements, stats.router.imbalance
-        );
-        assert!(
-            stats.shards.iter().all(|s| s.sessions > 0),
-            "every shard served someone: {spread:?}"
-        );
-    }
-
     // The tentpole claim: thread count is flat in the number of connections.
     match baseline_threads {
         Some(_) => {
             println!("peak process threads during the storm: {peak_threads}");
             assert!(
-                peak_threads <= thread_ceiling,
-                "thread count must not scale with connections: {peak_threads} > {thread_ceiling}"
+                peak_threads <= THREAD_CEILING,
+                "thread count must not scale with connections: {peak_threads} > {THREAD_CEILING}"
             );
         }
         None => println!("(/proc/self/status unavailable: thread ceiling not checked)"),
     }
     println!(
-        "OK: {clients} concurrent slow clients, byte-identical results, ≤ {thread_ceiling} threads"
+        "OK: {clients} concurrent slow clients, byte-identical results, ≤ {THREAD_CEILING} threads"
     );
 }

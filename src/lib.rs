@@ -92,16 +92,15 @@ pub mod prelude {
     pub use ppt_runtime::{
         AttachError, BorrowedMatch, CollectPayloadSink, CollectSink, CollectSubscriber, Frame,
         FrameDecoder, HandshakeDecoder, HandshakeError, HandshakeReply, HandshakeRequest,
-        MatchSink, MatchStream, MaterializedMatch, OnlineMatch, PayloadSink, ReactorStats,
-        RouterStats, Runtime, RuntimeStats, SessionHandle, SessionManager, SessionOptions,
-        SessionReport, ShardStats, SharedStreamHandle, StreamControl, SubscriberDelivery,
-        SubscriberId, SubscriberReport, SubscriberSink, WireFormat, WireServed, WireSink,
+        MatchSink, MatchStream, MaterializedMatch, OnlineMatch, PayloadSink, ReactorStats, Runtime,
+        RuntimeStats, SessionHandle, SessionManager, SessionOptions, SessionReport,
+        SharedStreamHandle, StreamControl, SubscriberDelivery, SubscriberId, SubscriberReport,
+        SubscriberSink, WireFormat, WireServed, WireSink,
     };
     // TCP serving needs Unix; everything above does not.
     #[cfg(unix)]
     pub use ppt_runtime::{
-        ConnectionReport, ForwardReport, HashRing, Registration, ServerStats, ShardRouter,
-        TcpServer, TcpServerBuilder,
+        ConnectionReport, Registration, ServerStats, TcpServer, TcpServerBuilder,
     };
     pub use ppt_xpath::{Query, QueryPlan};
 }
