@@ -249,6 +249,12 @@ impl OutputTape {
         Tape { nodes: NIL, lo, hi: self.log.len() as u32 }
     }
 
+    /// Drops the spare capacity growing left behind.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.log.shrink_to_fit();
+        self.nodes.shrink_to_fit();
+    }
+
     /// The tape `a` followed by the tape `b`; O(1), both stay shared. While
     /// one path's records are adjacent in the log its tape stays one range.
     pub(crate) fn then(&mut self, a: Tape, b: Tape) -> Tape {

@@ -381,7 +381,14 @@ impl DoubleTree {
                 });
             }
         }
-        let tape = std::mem::take(&mut self.output);
+        // The mapping can wait behind other chunks until the join reaches it
+        // — a speculative one behind every chunk the session has in flight —
+        // so it keeps none of the spare capacity growing left (on XMark, a
+        // third of what a chunk's mapping held).
+        let mut tape = std::mem::take(&mut self.output);
+        tape.shrink_to_fit();
+        entries.shrink_to_fit();
+        stacks.shrink_to_fit();
         ChunkMapping::new(entries, stacks, self.start_len, self.finish_len, tape)
     }
 

@@ -12,7 +12,10 @@
 //!   ([`process_chunk_from`], one path, sequential speed); the worker that
 //!   ran it publishes the exit into the relay and carries straight on with
 //!   the session's next chunk if it is already waiting — no wake, no queue —
-//!   unless other sessions' heads are queued, which it then lets go first.
+//!   unless heads or folds are queued, which it then lets go first.
+//! * **folds** — a served session's join ([`Fold`]), queued when a chunk is
+//!   delivered, a parked fold's outbox drained, or the session ended or
+//!   died. Served after heads: the fold width is the worker count.
 //! * **candidates** — sessions with waiting chunks ahead of the relay that a
 //!   worker which would otherwise idle may run from all states
 //!   ([`process_chunk`], the paper's speculation), when the session's
@@ -119,8 +122,8 @@ struct Relay {
 }
 
 /// What a session has measured of its two ways to run a chunk:
-/// `(busy nanoseconds, bytes)` summed over its chunks of each kind, tails
-/// ([`Job::is_tail`]) left out.
+/// `(worker CPU nanoseconds, bytes)` summed over its chunks of each kind,
+/// tails ([`Job::is_tail`]) left out.
 #[derive(Default)]
 struct Costs {
     in_order: (u128, usize),
@@ -130,9 +133,9 @@ struct Costs {
 }
 
 impl Costs {
-    fn record(&mut self, in_order: bool, busy: Duration, bytes: usize) {
+    fn record(&mut self, in_order: bool, cpu: Duration, bytes: usize) {
         let sum = if in_order { &mut self.in_order } else { &mut self.speculative };
-        *sum = (sum.0 + busy.as_nanos(), sum.1 + bytes);
+        *sum = (sum.0 + cpu.as_nanos(), sum.1 + bytes);
     }
 
     /// R: speculative ns/byte over in-order ns/byte — the number of workers
@@ -151,8 +154,9 @@ struct Ran {
     /// It ran in order, from the exact entry; `exit` is then its exact exit.
     in_order: bool,
     exit: Option<(StateId, Vec<StateId>)>,
-    /// The chunk's length, when it is a sample of R (not a tail).
-    sample: Option<usize>,
+    /// The chunk's CPU time ([`thread_cpu_time`]) and length, when it is a
+    /// sample of R (not a tail).
+    sample: Option<(Duration, usize)>,
 }
 
 /// How a worker runs a chunk.
@@ -534,8 +538,8 @@ impl SessionCore {
     /// the relay's next chunk if it is waiting — for the caller to run.
     fn complete(&self, seq: u64, out: ChunkOutput, run: Ran, workers: usize) -> Wake {
         let Some(mut mb) = self.lock_mailbox() else { return Wake::default() };
-        if let Some(bytes) = run.sample {
-            mb.costs.record(run.in_order, out.stats.busy, bytes);
+        if let Some((cpu, bytes)) = run.sample {
+            mb.costs.record(run.in_order, cpu, bytes);
         }
         mb.costs.probing &= run.in_order;
         if run.head {
@@ -569,25 +573,16 @@ impl SessionCore {
     /// chunk can reach the joiner, so the joiner can never fold a post-swap
     /// chunk with the pre-swap automaton.
     pub fn schedule_swap(&self, seq: u64, swap: EngineSwap) {
-        let (mut mb, poisoned) = lock_recover(&self.mailbox);
-        if poisoned {
-            drop(mb);
-            self.poison("mailbox lock poisoned by a panicking pipeline stage".to_string());
-            return;
+        if let Some(mut mb) = self.lock_mailbox() {
+            mb.swaps.insert(seq, swap);
         }
-        mb.swaps.insert(seq, swap);
     }
 
     /// Joiner side: removes and returns the latest engine swap scheduled at
     /// or before chunk `seq` (earlier ones are subsumed — merged engines only
     /// grow). Call before folding chunk `seq`.
     pub fn take_swap_through(&self, seq: u64) -> Option<EngineSwap> {
-        let (mut mb, poisoned) = lock_recover(&self.mailbox);
-        if poisoned {
-            drop(mb);
-            self.poison("mailbox lock poisoned by a panicking pipeline stage".to_string());
-            return None;
-        }
+        let mut mb = self.lock_mailbox()?;
         let due: Vec<u64> = mb.swaps.range(..=seq).map(|(&k, _)| k).collect();
         let mut latest = None;
         for key in due {
@@ -598,12 +593,7 @@ impl SessionCore {
 
     /// Announces that exactly `total` chunks were submitted (stream ended).
     pub fn announce_total(&self, total: u64) {
-        let (mut mb, poisoned) = lock_recover(&self.mailbox);
-        if poisoned {
-            drop(mb);
-            self.poison("mailbox lock poisoned by a panicking pipeline stage".to_string());
-            return;
-        }
+        let Some(mut mb) = self.lock_mailbox() else { return };
         mb.total = Some(total);
         drop(mb);
         self.mailbox_cv.notify_all();
@@ -642,26 +632,12 @@ impl SessionCore {
     /// Joiner side: waits for chunk `seq`, or `None` once the stream ended
     /// (every chunk before `seq` folded) or the session died.
     pub fn wait_for(&self, seq: u64) -> Option<ChunkOutput> {
-        let (mut mb, poisoned) = lock_recover(&self.mailbox);
-        if poisoned {
-            drop(mb);
-            self.poison("mailbox lock poisoned by a panicking pipeline stage".to_string());
-            return None;
-        }
+        let mut mb = self.lock_mailbox()?;
         loop {
-            if let Some(out) = mb.ready.remove(&seq) {
-                if let Some((&highest, _)) = mb.ready.iter().next_back() {
-                    self.counters.raise_peak_join_lag(highest.saturating_sub(seq));
-                }
-                return Some(out);
-            }
-            if mb.poisoned.is_some() {
-                return None;
-            }
-            if let Some(total) = mb.total {
-                if seq >= total {
-                    return None;
-                }
+            match self.take_locked(&mut mb, seq) {
+                TryTake::Ready(out) => return Some(out),
+                TryTake::Ended => return None,
+                TryTake::Pending => {}
             }
             let (guard, p) = wait_recover(&self.mailbox_cv, mb);
             mb = guard;
@@ -673,30 +649,27 @@ impl SessionCore {
         }
     }
 
-    /// Non-blocking [`SessionCore::wait_for`]: the reactor's join executor
-    /// polls the mailbox instead of parking on the condvar, retrying after
-    /// the next [`SessionEvents::on_deliverable`] when the chunk is
+    /// Non-blocking [`SessionCore::wait_for`]: a reactor session's [`Fold`]
+    /// polls the mailbox instead of parking on the condvar, and runs again
+    /// after the next [`SessionEvents::on_deliverable`] when the chunk is
     /// [`TryTake::Pending`].
     pub fn try_take(&self, seq: u64) -> TryTake {
-        let (mut mb, poisoned) = lock_recover(&self.mailbox);
-        if poisoned {
-            drop(mb);
-            self.poison("mailbox lock poisoned by a panicking pipeline stage".to_string());
-            return TryTake::Ended;
+        match self.lock_mailbox() {
+            Some(mut mb) => self.take_locked(&mut mb, seq),
+            None => TryTake::Ended,
         }
+    }
+
+    /// One look at the mailbox for chunk `seq`, under its lock.
+    fn take_locked(&self, mb: &mut Mailbox, seq: u64) -> TryTake {
         if let Some(out) = mb.ready.remove(&seq) {
             if let Some((&highest, _)) = mb.ready.iter().next_back() {
                 self.counters.raise_peak_join_lag(highest.saturating_sub(seq));
             }
             return TryTake::Ready(out);
         }
-        if mb.poisoned.is_some() {
+        if mb.poisoned.is_some() || mb.total.is_some_and(|total| seq >= total) {
             return TryTake::Ended;
-        }
-        if let Some(total) = mb.total {
-            if seq >= total {
-                return TryTake::Ended;
-            }
         }
         TryTake::Pending
     }
@@ -718,24 +691,39 @@ struct Task {
     run: Run,
 }
 
+/// One session's fold, run as a job on the pool: the reactor's join task.
+/// `run` must never block — a worker serves every session — and the
+/// implementor keeps one session's runs from overlapping.
+pub(crate) trait Fold: Send + Sync {
+    fn run(self: Arc<Self>);
+}
+
+/// What a worker runs next.
+enum Work {
+    Chunk(Task),
+    Fold(Arc<dyn Fold>),
+}
+
 /// The pool's shared queue: only work that may start now.
 #[derive(Default)]
 struct PoolQueue {
     /// Claimed head chunks, FIFO across sessions.
     heads: VecDeque<Task>,
+    /// Sessions' folds, FIFO; the implementor queues each at most once.
+    folds: VecDeque<Arc<dyn Fold>>,
     /// Sessions with chunks a worker that would otherwise idle may
     /// speculate on (each listed at most once).
     candidates: VecDeque<Arc<SessionCore>>,
 }
 
-struct PoolShared {
+pub(crate) struct PoolShared {
     queue: Mutex<PoolQueue>,
     work_ready: Condvar,
     shutdown: AtomicBool,
     workers: usize,
-    /// Heads in `queue`, readable without its lock: a worker carrying a
-    /// session's chain yields to them.
-    heads_queued: AtomicUsize,
+    /// Heads and folds in `queue`, readable without its lock: a worker
+    /// carrying a session's chain yields to them.
+    ahead: AtomicUsize,
     /// Chunks submitted and not yet started, over all sessions.
     queued: AtomicUsize,
     peak_queue: AtomicUsize,
@@ -745,16 +733,17 @@ struct PoolShared {
 
 impl PoolShared {
     /// Acts on a session's scheduling change. A `worker` carries the claimed
-    /// head on itself — returned, no wake — unless other sessions' heads are
-    /// waiting: then it yields, queueing its own behind them.
-    fn dispatch(&self, session: &Arc<SessionCore>, wake: Wake, worker: bool) -> Option<Task> {
+    /// head on itself — returned, no wake — unless heads or folds are
+    /// queued: then it yields, queueing its head behind them, and with no
+    /// other head ahead of it runs the first fold itself (credits come back).
+    fn dispatch(&self, session: &Arc<SessionCore>, wake: Wake, worker: bool) -> Option<Work> {
         let mut head = wake.head.map(|(job, run)| Task { session: Arc::clone(session), job, run });
         // RELAXED-OK: a fairness hint; the queue lock orders the hand-off
         // itself, and a stale count only lets a chain run one chunk longer.
-        let carry = worker && self.heads_queued.load(Ordering::Relaxed) == 0;
-        let carried = if carry { head.take() } else { None };
+        let carry = worker && self.ahead.load(Ordering::Relaxed) == 0;
+        let mut next = if carry { head.take().map(Work::Chunk) } else { None };
         if head.is_none() && !wake.list {
-            return carried;
+            return next;
         }
         let mut queue = lock_recover(&self.queue).0;
         let mut wakes = 0;
@@ -763,30 +752,51 @@ impl PoolShared {
             wakes += 1;
         }
         if let Some(task) = head {
+            if worker && queue.heads.is_empty() {
+                next = queue.folds.pop_front().map(Work::Fold);
+            }
             queue.heads.push_back(task);
-            // RELAXED-OK: the hint above; written under the queue lock.
-            self.heads_queued.fetch_add(1, Ordering::Relaxed);
-            // A yielding worker takes the queue's front itself.
-            wakes += usize::from(!worker);
+            if next.is_none() {
+                // RELAXED-OK: the hint above; written under the queue lock.
+                self.ahead.fetch_add(1, Ordering::Relaxed);
+            }
+            // A yielding worker that took no fold takes the queue's front
+            // itself.
+            wakes += usize::from(!worker || next.is_some());
         }
         drop(queue);
         for _ in 0..wakes {
             self.work_ready.notify_one();
         }
-        carried
+        next
     }
 
-    /// Blocks until a chunk may start: a queued head first, else a chunk to
-    /// speculate on from a listed session; `None` once shut down and idle.
-    fn next_task(&self) -> Option<Task> {
+    /// Queues a session's fold behind the heads and wakes a worker for it.
+    pub(crate) fn submit_fold(&self, fold: Arc<dyn Fold>) {
+        let mut queue = lock_recover(&self.queue).0;
+        queue.folds.push_back(fold);
+        // RELAXED-OK: the hint of `dispatch`; written under the queue lock.
+        self.ahead.fetch_add(1, Ordering::Relaxed);
+        drop(queue);
+        self.work_ready.notify_one();
+    }
+
+    /// Blocks until work may start: a queued head first, then a fold, else a
+    /// chunk to speculate on from a listed session; `None` once shut down
+    /// and idle.
+    fn next_work(&self) -> Option<Work> {
         // Poison recovery, same reasoning as `WorkerPool::submit`: the
         // shared queue must outlive any one session's panic.
         let mut queue = lock_recover(&self.queue).0;
         loop {
-            if let Some(task) = queue.heads.pop_front() {
+            let next = match queue.heads.pop_front() {
+                Some(task) => Some(Work::Chunk(task)),
+                None => queue.folds.pop_front().map(Work::Fold),
+            };
+            if next.is_some() {
                 // RELAXED-OK: the fairness hint of `dispatch`.
-                self.heads_queued.fetch_sub(1, Ordering::Relaxed);
-                return Some(task);
+                self.ahead.fetch_sub(1, Ordering::Relaxed);
+                return next;
             }
             if let Some(session) = queue.candidates.pop_front() {
                 // The session lock is never taken under the queue lock.
@@ -795,7 +805,8 @@ impl PoolShared {
                 let wake = Wake { head: None, list: relist };
                 self.dispatch(&session, wake, false);
                 if let Some(job) = job {
-                    return Some(Task { session, job, run: Run::Speculative { head: false } });
+                    let run = Run::Speculative { head: false };
+                    return Some(Work::Chunk(Task { session, job, run }));
                 }
                 queue = lock_recover(&self.queue).0;
                 continue;
@@ -808,8 +819,8 @@ impl PoolShared {
     }
 
     /// Runs one chunk; returns the session's next head when this worker is
-    /// to carry on with it.
-    fn run(&self, task: Task) -> Option<Task> {
+    /// to carry on with it, or the fold it yielded to.
+    fn run(&self, task: Task) -> Option<Work> {
         let Task { session: core, job, run } = task;
         // RELAXED-OK: a gauge behind a high-watermark stat; orders nothing.
         self.queued.fetch_sub(1, Ordering::Relaxed);
@@ -828,6 +839,7 @@ impl PoolShared {
         let head = matches!(run, Run::InOrder(..) | Run::Speculative { head: true });
         let in_order = matches!(run, Run::InOrder(..));
         let started = Instant::now();
+        let cpu_started = thread_cpu_time();
         // A panic while transducing one session's chunk must not take the
         // shared worker down (it serves every session) nor leave the
         // session's joiner waiting forever for an output that will never
@@ -858,6 +870,8 @@ impl PoolShared {
             }
         }));
         let busy = started.elapsed();
+        let cpu =
+            cpu_started.zip(thread_cpu_time()).map_or(busy, |(from, to)| to.saturating_sub(from));
         // RELAXED-OK: monotonic stat accumulator; orders nothing.
         core.counters.worker_busy_nanos.fetch_add(busy.as_nanos() as u64, Ordering::Relaxed);
         core.telemetry.transduce_nanos.record_duration(busy);
@@ -881,11 +895,34 @@ impl PoolShared {
         session_count.fetch_add(1, Ordering::Relaxed);
         // RELAXED-OK: as above.
         pool_count.fetch_add(1, Ordering::Relaxed);
-        let sample = (!job.is_tail()).then(|| job.range.len());
+        let sample = (!job.is_tail()).then(|| (cpu, job.range.len()));
         let ran = Ran { head, in_order, exit, sample };
         let wake = core.complete(job.seq, out, ran, self.workers);
         self.dispatch(&core, wake, true)
     }
+}
+
+/// The calling thread's CPU time, R's sample: wall time also counts the
+/// time a preempted worker waits for a core, on a busy host enough to tip a
+/// stream's early R below the break-even. `None` off Linux (wall time then).
+#[cfg(target_os = "linux")]
+fn thread_cpu_time() -> Option<Duration> {
+    #[repr(C)]
+    struct Timespec(std::ffi::c_long, std::ffi::c_long);
+    extern "C" {
+        fn clock_gettime(clock: std::ffi::c_int, tp: *mut Timespec) -> std::ffi::c_int;
+    }
+    let mut ts = Timespec(0, 0);
+    // SAFETY: `ts` is a live, writable `struct timespec` for the whole call;
+    // 3 is `CLOCK_THREAD_CPUTIME_ID` of Linux's `<time.h>`.
+    let rc = unsafe { clock_gettime(3, &mut ts) };
+    let (secs, nanos) = (u64::try_from(ts.0).ok()?, u32::try_from(ts.1).ok()?);
+    (rc == 0).then(|| Duration::new(secs, nanos))
+}
+
+#[cfg(not(target_os = "linux"))]
+fn thread_cpu_time() -> Option<Duration> {
+    None
 }
 
 /// The shared pool of transducer workers.
@@ -903,7 +940,7 @@ impl WorkerPool {
             work_ready: Condvar::new(),
             shutdown: AtomicBool::new(false),
             workers: count,
-            heads_queued: AtomicUsize::new(0),
+            ahead: AtomicUsize::new(0),
             queued: AtomicUsize::new(0),
             peak_queue: AtomicUsize::new(0),
             chunks_in_order: AtomicU64::new(0),
@@ -958,6 +995,11 @@ impl WorkerPool {
     pub fn worker_count(&self) -> usize {
         self.workers.len()
     }
+
+    /// The queue side, for [`PoolShared::submit_fold`]; keeps no thread alive.
+    pub fn shared(&self) -> &Arc<PoolShared> {
+        &self.shared
+    }
 }
 
 impl Drop for WorkerPool {
@@ -975,9 +1017,15 @@ impl Drop for WorkerPool {
 }
 
 fn worker_loop(shared: &PoolShared) {
-    let mut carried = None;
-    while let Some(task) = carried.take().or_else(|| shared.next_task()) {
-        carried = shared.run(task);
+    let mut next = None;
+    while let Some(work) = next.take().or_else(|| shared.next_work()) {
+        next = match work {
+            Work::Chunk(task) => shared.run(task),
+            Work::Fold(fold) => {
+                fold.run();
+                None
+            }
+        };
     }
 }
 
@@ -1041,5 +1089,20 @@ mod tests {
         core.announce_total(1);
         let out = core.wait_for(0);
         assert!(out.is_some(), "a worker must still pick the job up");
+    }
+
+    /// R's samples leave out waiting (here asleep, a worker preempted) and
+    /// count work (here the clock reads themselves).
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn r_samples_count_work_not_waiting() {
+        let start = thread_cpu_time().expect("Linux has a per-thread CPU clock");
+        std::thread::sleep(Duration::from_millis(50));
+        let slept = thread_cpu_time().unwrap() - start;
+        assert!(slept < Duration::from_millis(25), "50 ms asleep read as {slept:?} of work");
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while thread_cpu_time().unwrap() < start + slept + Duration::from_millis(5) {
+            assert!(Instant::now() < deadline, "10 s of spinning never showed on the clock");
+        }
     }
 }

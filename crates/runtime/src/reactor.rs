@@ -16,9 +16,9 @@
 //!                    │   readable ─► HandshakeDecoder / Feeder (nonblocking)│
 //!                    │   writable ◄─ per-conn outbox (bounded)              │
 //!                    └──────────┬───────────────────────────▲───────────────┘
-//!                       chunk jobs                    framed matches
-//!                               ▼                           │
-//!                      shared WorkerPool ──► JoinPool (fold/resolve/filter)
+//!                    chunk jobs, fold jobs               framed matches,
+//!                               ▼                        one wake per chunk
+//!                      shared WorkerPool: transduce ─► fold/resolve/filter
 //! ```
 //!
 //! Design points:
@@ -27,18 +27,21 @@
 //!   non-blocking discipline: a chunk that cannot get an in-flight credit
 //!   stays pending and the connection's `POLLIN` interest is dropped — the
 //!   kernel's socket buffer, and eventually the client, absorb the
-//!   backpressure. A credit return fires
-//!   `SessionEvents::on_credit`, which wakes the loop through
-//!   an `eventfd(2)` and re-arms the read.
-//! * **No thread per session on the join side either.** The joiner state
-//!   machine (`JoinerState`) lives in a `JoinTask`; one `JoinPool` of
-//!   `JOIN_THREADS` executor threads runs `try_take → fold_one` steps for
-//!   whichever sessions have deliverable chunks. A session whose outbox is over its
-//!   byte cap is parked (`stalled_on_outbox`) until the reactor drains the
-//!   socket below the cap — so a slow client stalls *its own* fold frontier,
-//!   which holds its credits, which pauses its reads: backpressure
-//!   propagates through the retention ring exactly as in the in-process
-//!   pipeline.
+//!   backpressure. A credit return fires `SessionEvents::on_credit`; the
+//!   fold that returned it wakes the loop through an `eventfd(2)`, and the
+//!   read re-arms.
+//! * **No thread for the join side at all.** The joiner state machine
+//!   (`JoinerState`) lives in a `JoinTask`, a fold job on the runtime's one
+//!   worker pool: a delivered chunk queues it, and a worker runs
+//!   `try_take → fold_one` steps until the mailbox runs dry. A session
+//!   whose outbox is over its byte cap is parked (`stalled_on_outbox`)
+//!   until the reactor drains the socket below the cap and queues the job
+//!   again — so a slow client stalls *its own* fold frontier, which holds
+//!   its credits, which pauses its reads: backpressure propagates through
+//!   the retention ring exactly as in the in-process pipeline. A fold wakes
+//!   the poll loop once per folded chunk — frames and credit — and per
+//!   frame only while an outbox holds 64 KiB: the one wake fd and a
+//!   poll set rebuilt each round arm `POLLOUT` on every outbox with bytes.
 //! * **Dependency-free.** `poll(2)` and `eventfd(2)` are declared directly
 //!   via `extern "C"` (the same offline-shim spirit as `shims/`): no
 //!   crates.io, no async runtime. On non-Linux Unix the wake-up fd falls
@@ -48,9 +51,9 @@
 //! event loop's own accounting surfaces as [`ReactorStats`] in the server's
 //! stats.
 
-use crate::pool::{lock_recover, panic_message, SessionCore, SessionEvents, TryTake};
+use crate::pool::{lock_recover, Fold, PoolShared, SessionCore, SessionEvents, TryTake};
 use crate::serve::{ConnectionReport, ServeTelemetry, Shared};
-use crate::session::{Feeder, JoinerState, SessionReport};
+use crate::session::{joiner_panicked, Feeder, JoinerState, SessionReport};
 use crate::sink::{BorrowedMatch, Materializer, PayloadRef, PayloadSink};
 use crate::stats::{ReactorStats, RuntimeStats};
 use crate::subscribe::{
@@ -66,8 +69,8 @@ use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::{AsRawFd, RawFd};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, Weak};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, Weak};
 use std::time::Instant;
 
 // ---------------------------------------------------------------------------
@@ -108,6 +111,11 @@ struct IoVec {
 /// syscall.
 const MAX_IOVEC: usize = 64;
 
+/// Queued outbox bytes past which each frame a fold adds wakes the poll loop
+/// at once, not at the end of its chunk: a chunk of dense matches then drains
+/// while it folds instead of piling up, and pinning windows, behind it.
+const DRAIN_BYTES: usize = 64 << 10;
+
 extern "C" {
     fn poll(fds: *mut PollFd, nfds: NfdsT, timeout: std::ffi::c_int) -> std::ffi::c_int;
     fn writev(fd: RawFd, iov: *const IoVec, iovcnt: std::ffi::c_int) -> isize;
@@ -145,6 +153,7 @@ struct WakeFd {
     rx: std::net::UdpSocket,
     #[cfg(not(target_os = "linux"))]
     tx: std::net::UdpSocket,
+    deferred: AtomicBool,
 }
 
 impl WakeFd {
@@ -159,7 +168,8 @@ impl WakeFd {
             return Err(std::io::Error::last_os_error());
         }
         // SAFETY: `fd` is a freshly created eventfd we exclusively own.
-        Ok(WakeFd { event: unsafe { std::os::unix::io::FromRawFd::from_raw_fd(fd) } })
+        let event = unsafe { std::os::unix::io::FromRawFd::from_raw_fd(fd) };
+        Ok(WakeFd { event, deferred: AtomicBool::new(false) })
     }
 
     #[cfg(not(target_os = "linux"))]
@@ -169,7 +179,7 @@ impl WakeFd {
         tx.connect(rx.local_addr()?)?;
         rx.set_nonblocking(true)?;
         tx.set_nonblocking(true)?;
-        Ok(WakeFd { rx, tx })
+        Ok(WakeFd { rx, tx, deferred: AtomicBool::new(false) })
     }
 
     /// Makes the fd readable. Never blocks; a saturated counter (`EAGAIN`)
@@ -182,6 +192,19 @@ impl WakeFd {
         #[cfg(not(target_os = "linux"))]
         {
             let _ = self.tx.send(&[1u8]);
+        }
+    }
+
+    /// Notes work for the loop (queued bytes, a credit) for the next flush;
+    /// Release pairs with its AcqRel swap, so the loop it wakes sees the work.
+    pub fn defer(&self) {
+        self.deferred.store(true, Ordering::Release);
+    }
+
+    /// Wakes the loop once if anything was deferred since the last flush.
+    pub fn flush(&self) {
+        if self.deferred.swap(false, Ordering::AcqRel) {
+            self.wake();
         }
     }
 
@@ -263,11 +286,11 @@ impl ReactorCounters {
 // The per-connection outbox
 // ---------------------------------------------------------------------------
 
-/// The bounded per-connection egress buffer: the join executor appends
-/// framed matches (through [`OutboxWriter`] → [`WireSink`]), the reactor
+/// The bounded per-connection egress buffer: a fold job appends framed
+/// matches (through [`OutboxWriter`] → [`WireSink`]), the reactor
 /// drains it to the socket on `POLLOUT`.
 ///
-/// The byte cap is a *soft* cap enforced at fold granularity: the executor
+/// The byte cap is a *soft* cap enforced at fold granularity: the fold job
 /// checks it before every step, so the buffer can overshoot by one chunk's
 /// worth of frames in steady state — and a stalled fold holds the session's
 /// credits, which is the backpressure path. The one larger excursion is the
@@ -592,13 +615,15 @@ struct SinkDone {
 }
 
 /// A subscriber whose frames go straight into a connection's outbox — used
-/// for the stream owner (lossless: the join executor parks on the owner's
-/// full outbox before folding, so nothing is ever shed) and for late
-/// attachers (shedding: a subscriber whose client stops draining loses *its
-/// own* matches, never stalls the shared pipeline).
+/// for the stream owner (lossless: the fold parks on the owner's full
+/// outbox before folding, so nothing is ever shed) and for late attachers
+/// (shedding: a subscriber whose client stops draining loses *its own*
+/// matches, never stalls the shared pipeline).
 ///
-/// Runs on a join-executor thread, never the ingest thread: every delivery
-/// wakes the poll loop so POLLOUT arms for the freshly queued frame.
+/// Runs in a fold job on a worker, never the ingest thread. Below
+/// [`DRAIN_BYTES`] a delivery only defers a wake-up; the fold job flushes it
+/// once per folded chunk, and that one wake arms POLLOUT for every outbox
+/// the chunk's frames reached.
 struct OutboxSubscriber {
     sink: Option<WireSink<OutboxWriter>>,
     outbox: Arc<OutboxShared>,
@@ -616,7 +641,11 @@ impl SubscriberSink for OutboxSubscriber {
             return SubscriberDelivery::Dropped;
         }
         let accepted = sink.on_match_borrowed(m);
-        self.signal.wake.wake();
+        if self.outbox.len() >= DRAIN_BYTES {
+            self.signal.wake.wake();
+        } else {
+            self.signal.wake.defer();
+        }
         if accepted {
             SubscriberDelivery::Delivered
         } else if self.shed_when_full {
@@ -656,21 +685,30 @@ struct SubscriberConn {
 }
 
 // ---------------------------------------------------------------------------
-// The join executor
+// The fold job
 // ---------------------------------------------------------------------------
 
-/// One session's joiner, packaged for the shared executor.
+// `JoinTask::sched`: not queued; in the pool's fold queue; running;
+// running, and queued again by progress made since the run started.
+const IDLE: u8 = 0;
+const QUEUED: u8 = 1;
+const RUNNING: u8 = 2;
+const RERUN: u8 = 3;
+
+/// One session's joiner, packaged as a fold job for the runtime's workers.
 pub(crate) struct JoinTask {
     core: Arc<SessionCore>,
     inner: Mutex<JoinTaskInner>,
-    /// Deduplicates run-queue entries: set on enqueue, cleared on pop.
-    queued: AtomicBool,
-    /// Set when the executor parked this session on a full outbox; the
-    /// reactor clears it and re-enqueues after draining the socket.
+    /// The run-queue dedupe: progress during a run marks it `RERUN` instead of
+    /// queueing twice, so no wake-up is lost and no two workers run one fold.
+    sched: AtomicU8,
+    /// Set when the fold parked on a full outbox; the reactor clears it and
+    /// queues the fold again after draining the socket.
     stalled_on_outbox: AtomicBool,
     outbox: Arc<OutboxShared>,
     signal: Arc<ConnSignal>,
-    join: Arc<JoinShared>,
+    /// The runtime's worker pool, where the fold runs.
+    pool: Arc<PoolShared>,
 }
 
 struct JoinTaskInner {
@@ -697,7 +735,7 @@ pub(crate) struct ConnSignal {
 }
 
 /// The progress hooks registered on the session's [`SessionCore`]: workers
-/// and the join executor poke the reactor through these instead of condvars.
+/// and fold jobs poke the reactor through these instead of condvars.
 /// Holds the task weakly — the connection owns the strong reference, so a
 /// closed connection's task is freed even while stray jobs still hold the
 /// core.
@@ -715,129 +753,70 @@ impl SessionEvents for ConnEvents {
 
     fn on_credit(&self) {
         self.signal.feed_ready.store(true, Ordering::Release);
-        self.signal.wake.wake();
+        // Flushed by the fold that returned the credit, or that a poisoning
+        // queued; the ingest thread sweeps its own releases.
+        self.signal.wake.defer();
     }
 }
 
-struct JoinShared {
-    queue: Mutex<VecDeque<Arc<JoinTask>>>,
-    ready: Condvar,
-    shutdown: AtomicBool,
+/// The reactor's side of an outbox park: after a drain (or a discard) left
+/// the outbox below its cap, queue a fold parked on it again.
+fn unpark(task: &Arc<JoinTask>) {
+    if task.stalled_on_outbox.swap(false, Ordering::SeqCst) {
+        enqueue_task(task);
+    }
 }
 
-/// Schedules a task exactly once until it next runs.
+/// Queues a task's fold on the runtime's workers: once until it next runs,
+/// and once more after a run that progress overtook.
 fn enqueue_task(task: &Arc<JoinTask>) {
-    if task.queued.swap(true, Ordering::AcqRel) {
-        return;
-    }
-    let mut queue = lock_recover(&task.join.queue).0;
-    queue.push_back(Arc::clone(task));
-    drop(queue);
-    task.join.ready.notify_one();
-}
-
-/// Join-executor threads: the fixed width of the one pool that folds every
-/// session's chunk outputs. Two keep one slow fold from stalling every other
-/// session's delivery. Four cut Treebank's CPU per MiB on a 2-vCPU host but
-/// raised the server's resident memory, which the benchmark gates.
-pub(crate) const JOIN_THREADS: usize = 2;
-
-/// The fixed pool of join-executor threads shared by every reactor session.
-pub(crate) struct JoinPool {
-    shared: Arc<JoinShared>,
-    threads: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl JoinPool {
-    fn new() -> JoinPool {
-        let shared = Arc::new(JoinShared {
-            queue: Mutex::new(VecDeque::new()),
-            ready: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-        });
-        let threads = (0..JOIN_THREADS)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("ppt-join-{i}"))
-                    .spawn(move || join_executor_loop(&shared))
-                    // UNWRAP-OK: thread-spawn failure is process-level
-                    // resource exhaustion; no pool-scoped recovery exists.
-                    .expect("failed to spawn join executor")
-            })
-            .collect();
-        JoinPool { shared, threads }
+    let prev = task.sched.fetch_update(Ordering::AcqRel, Ordering::Acquire, |s| match s {
+        IDLE => Some(QUEUED),
+        RUNNING => Some(RERUN),
+        _ => None,
+    });
+    if prev == Ok(IDLE) {
+        task.pool.submit_fold(Arc::clone(task) as Arc<dyn Fold>);
     }
 }
 
-impl Drop for JoinPool {
-    fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.ready.notify_all();
-        for handle in self.threads.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-fn join_executor_loop(shared: &JoinShared) {
-    loop {
-        let task = {
-            let mut queue = lock_recover(&shared.queue).0;
-            loop {
-                if let Some(task) = queue.pop_front() {
-                    break task;
-                }
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                queue = crate::pool::wait_recover(&shared.ready, queue).0;
+impl Fold for JoinTask {
+    /// Runs fold steps until the mailbox runs dry, the outbox fills or the
+    /// stream ends; a panic in the fold poisons the session, as `joiner_guarded` does.
+    fn run(self: Arc<Self>) {
+        // Consume the queue mark *before* running: progress made meanwhile
+        // marks it `RERUN`. The mailbox lock publishes the chunks it folds.
+        self.sched.store(RUNNING, Ordering::Release);
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| join_steps(&self)));
+        if let Err(panic) = result {
+            let core = &self.core;
+            joiner_panicked(core, &*panic);
+            // Finalize defensively so the connection can wind down: the state
+            // may be inconsistent, so only the report shell is produced.
+            let mut inner = lock_recover(&self.inner).0;
+            if inner.report.is_none() {
+                let report = SessionReport {
+                    stats: core.counters.snapshot(),
+                    match_counts: Vec::new(),
+                    submatch_counts: Vec::new(),
+                    error: core.poison_message(),
+                    speculation_ratio: core.speculation_ratio(),
+                };
+                // Subscribers (the owner included) still get their final
+                // accounting, carrying the stream's poison message. Idempotent:
+                // a panic *inside* a subscriber's `end` re-enters here with the
+                // stream already ended and no subscribers left to flush.
+                inner.control.finish_stream(&report);
+                inner.report = Some(report);
             }
-        };
-        // Clear the dedupe flag *before* running: progress made while the
-        // task runs re-enqueues it, so no wake-up can be lost.
-        task.queued.store(false, Ordering::Release);
-        run_join_task(&task);
-    }
-}
-
-/// Runs fold steps for one session until its mailbox runs dry, its outbox
-/// fills, or the stream ends. Panics anywhere in the fold (a sink, a filter)
-/// poison the session — same guard discipline as `joiner_guarded`.
-fn run_join_task(task: &Arc<JoinTask>) {
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| join_steps(task)));
-    if let Err(panic) = result {
-        let core = &task.core;
-        // AcqRel: the swap decides which thread accounts the in-flight
-        // delivery as dropped (same protocol as `joiner_guarded`); the
-        // winner must also observe the state written before the flag.
-        if core.counters.delivering.swap(false, Ordering::AcqRel) {
-            // RELAXED-OK: stat counter; the swap above already arbitrates.
-            core.counters.dropped_matches.fetch_add(1, Ordering::Relaxed);
+            inner.state = None;
+            drop(inner);
+            self.signal.done.store(true, Ordering::Release);
+            self.signal.wake.wake();
         }
-        core.poison(format!("joiner stage panicked: {}", panic_message(&*panic)));
-        // Finalize defensively so the connection can wind down: the state
-        // may be inconsistent, so only the report shell is produced.
-        let mut inner = lock_recover(&task.inner).0;
-        if inner.report.is_none() {
-            let report = SessionReport {
-                stats: core.counters.snapshot(),
-                match_counts: Vec::new(),
-                submatch_counts: Vec::new(),
-                error: core.poison_message(),
-                speculation_ratio: core.speculation_ratio(),
-            };
-            // Subscribers (the owner included) still get their final
-            // accounting, carrying the stream's poison message. Idempotent:
-            // a panic *inside* a subscriber's `end` re-enters here with the
-            // stream already ended and no subscribers left to flush.
-            inner.control.finish_stream(&report);
-            inner.report = Some(report);
+        if self.sched.swap(IDLE, Ordering::AcqRel) == RERUN {
+            enqueue_task(&self);
         }
-        inner.state = None;
-        drop(inner);
-        task.signal.done.store(true, Ordering::Release);
-        task.signal.wake.wake();
     }
 }
 
@@ -851,12 +830,18 @@ fn join_steps(task: &Arc<JoinTask>) {
             // then re-check, so a drain racing this park re-enqueues us.
             task.stalled_on_outbox.store(true, Ordering::SeqCst);
             if task.outbox.over_cap() {
+                // The reactor must see the full outbox to drain it.
+                task.signal.wake.flush();
                 return;
             }
             task.stalled_on_outbox.store(false, Ordering::SeqCst);
         }
         match task.core.try_take(state.next_seq()) {
-            TryTake::Ready(out) => state.fold_one(&task.core, &mut inner.sink, out),
+            TryTake::Ready(out) => {
+                state.fold_one(&task.core, &mut inner.sink, out);
+                // One wake for the chunk's frames and its credit.
+                task.signal.wake.flush();
+            }
             TryTake::Pending => return,
             TryTake::Ended => {
                 let report = state.finalize(&task.core, &mut inner.sink);
@@ -1004,31 +989,26 @@ fn unpublish_stream(shared: &Shared, conn: &mut Conn) {
 // The reactor proper
 // ---------------------------------------------------------------------------
 
-/// The running ingest layer: the ingest thread, its wake fd (shutdown pokes
-/// it) and the join pool.
+/// The running ingest layer: the ingest thread and its wake fd (shutdown
+/// pokes it).
 pub(crate) struct ReactorHandles {
     thread: Option<std::thread::JoinHandle<()>>,
     wake: Arc<WakeFd>,
-    /// Dropped (and its threads joined) after the ingest thread exits.
-    join_pool: Option<JoinPool>,
 }
 
 impl ReactorHandles {
-    /// Blocks until the ingest thread drained its connections and exited,
-    /// then winds the join pool down.
+    /// Blocks until the ingest thread drained its connections and exited.
     pub fn shutdown_join(&mut self) {
         self.wake.wake();
         if let Some(handle) = self.thread.take() {
             let _ = handle.join();
         }
-        self.join_pool.take(); // Drop joins the executor threads.
     }
 }
 
-/// Spawns the ingest thread, which owns the listener, and the join pool.
+/// Spawns the ingest thread, which owns the listener.
 pub(crate) fn spawn(shared: Arc<Shared>, listener: TcpListener) -> std::io::Result<ReactorHandles> {
     listener.set_nonblocking(true)?;
-    let join_pool = JoinPool::new();
     let wake = Arc::new(WakeFd::new()?);
     // The listener and the wake fd sit in the poll set for the server's
     // whole life.
@@ -1037,7 +1017,6 @@ pub(crate) fn spawn(shared: Arc<Shared>, listener: TcpListener) -> std::io::Resu
     let reactor = Reactor {
         shared,
         wake: Arc::clone(&wake),
-        join: Arc::clone(&join_pool.shared),
         listener: Some(listener),
         conns: Vec::new(),
         free: Vec::new(),
@@ -1046,7 +1025,7 @@ pub(crate) fn spawn(shared: Arc<Shared>, listener: TcpListener) -> std::io::Resu
         .name("ppt-ingest".to_string())
         .spawn(move || reactor.run())
         .map_err(|e| std::io::Error::other(format!("failed to spawn ingest: {e}")))?;
-    Ok(ReactorHandles { thread: Some(thread), wake, join_pool: Some(join_pool) })
+    Ok(ReactorHandles { thread: Some(thread), wake })
 }
 
 /// What a pollfd slot refers to.
@@ -1060,7 +1039,6 @@ enum Token {
 struct Reactor {
     shared: Arc<Shared>,
     wake: Arc<WakeFd>,
-    join: Arc<JoinShared>,
     listener: Option<TcpListener>,
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
@@ -1423,11 +1401,11 @@ impl Reactor {
                 control: Arc::clone(&control),
                 report: None,
             }),
-            queued: AtomicBool::new(false),
+            sched: AtomicU8::new(IDLE),
             stalled_on_outbox: AtomicBool::new(false),
             outbox: Arc::clone(&conn.outbox),
             signal: Arc::clone(&conn.signal),
-            join: Arc::clone(&self.join),
+            pool: Arc::clone(runtime.worker_pool().shared()),
         });
         core.set_events(Arc::new(ConnEvents {
             task: Arc::downgrade(&task),
@@ -1561,9 +1539,7 @@ impl Reactor {
                 }
                 if !conn.outbox.over_cap() {
                     if let Some(session) = &conn.session {
-                        if session.task.stalled_on_outbox.swap(false, Ordering::SeqCst) {
-                            enqueue_task(&session.task);
-                        }
+                        unpark(&session.task);
                     }
                 }
             }
@@ -1579,9 +1555,7 @@ impl Reactor {
                 }
                 conn.outbox.close_and_clear();
                 if let Some(session) = &conn.session {
-                    if session.task.stalled_on_outbox.swap(false, Ordering::SeqCst) {
-                        enqueue_task(&session.task);
-                    }
+                    unpark(&session.task);
                 }
                 // A dead subscriber stops receiving its share of the fan-out
                 // right away; `end` (from the detach) sets the done signal,
@@ -1670,9 +1644,7 @@ impl Reactor {
                 // re-enqueue it to observe the poison and finalize.
                 conn.outbox.close_and_clear();
                 session.task.core.poison(reason.clone());
-                if session.task.stalled_on_outbox.swap(false, Ordering::SeqCst) {
-                    enqueue_task(&session.task);
-                }
+                unpark(&session.task);
                 conn.read_error.get_or_insert(reason);
                 conn.phase = Phase::Draining;
                 unpublish_stream(&self.shared, conn);
@@ -1743,9 +1715,7 @@ impl Reactor {
             // parked forever once POLLOUT disarms.
             conn.outbox.close_and_clear();
             session.task.core.poison(reason.to_string());
-            if session.task.stalled_on_outbox.swap(false, Ordering::SeqCst) {
-                enqueue_task(&session.task);
-            }
+            unpark(&session.task);
             conn.write_error.get_or_insert_with(|| reason.to_string());
             conn.phase = Phase::Draining;
             unpublish_stream(&self.shared, conn);
@@ -2102,8 +2072,6 @@ mod tests {
 
         conn.phase = Phase::Draining;
         assert_eq!(conn.interest(), POLLOUT, "draining only flushes");
-        let mut sink = std::io::sink();
-        let _ = sink.write(b"");
         // Drain the outbox through the real socket: POLLOUT disarms, and
         // the written-byte count is the progress signal.
         let mut stream = conn.stream.try_clone().unwrap();

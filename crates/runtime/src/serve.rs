@@ -5,27 +5,28 @@
 //! [`TcpServer`] accepts connections, runs the line-based query-registration
 //! handshake (see [`crate::wire`]'s handshake section for the grammar), and
 //! binds each accepted connection to one materialized session: the bytes the
-//! client streams after `GO` flow through the splitter → worker pool → joiner
+//! client streams after `GO` flow through the splitter → worker pool → fold
 //! pipeline, and every match comes back over the same socket as a wire frame.
 //!
 //! ```text
 //!            ┌────────────────────── TcpServer ──────────────────────┐
 //! client ──► │ handshake (QUERY…/GO → OK|ERR) ─► Engine ─► session   │
-//!        ◄── │ frames (json | binary)       ◄── WireSink ◄── joiner  │
+//!        ◄── │ frames (json | binary)    ◄── WireSink ◄── fold job   │
 //!            └───────────────────────────────────────────────────────┘
 //! ```
 //!
 //! There is one serving discipline and one execution site: a single ingest
 //! thread drives every connection from a `poll(2)` event loop over
-//! nonblocking sockets (see [`crate::reactor`]), every session runs on the
-//! one [`Runtime`] passed to [`TcpServerBuilder::bind`], and one fixed join
-//! pool folds their chunks. One thread feeds thousands of slow network
-//! streams, and a slow client exerts backpressure through its bounded
-//! outbox and the retention ring instead of wedging a thread. This module is
-//! the server's shape — builder, admission, accounting, scrape surfaces,
-//! client helpers; the reactor is its engine room. Serving needs Unix
-//! (`poll(2)`, `writev(2)`, `eventfd(2)`); the engine and the in-process
-//! runtime APIs ([`Runtime::serve_reader`] included) do not.
+//! nonblocking sockets (see [`crate::reactor`]), and every session runs on
+//! the one [`Runtime`] passed to [`TcpServerBuilder::bind`], whose workers
+//! both transduce its chunks and fold them, so binding a server adds one
+//! thread. One thread feeds thousands of slow network streams, and a slow
+//! client exerts backpressure through its bounded outbox and the retention
+//! ring instead of wedging a thread. This module is the server's shape —
+//! builder, admission, accounting, scrape surfaces, client helpers; the
+//! reactor is its engine room. Serving needs Unix (`poll(2)`, `writev(2)`,
+//! `eventfd(2)`); the engine and the in-process runtime APIs
+//! ([`Runtime::serve_reader`] included) do not.
 //!
 //! Design points, in the spirit of the paper's serving discipline:
 //!
@@ -340,7 +341,7 @@ pub(crate) struct ServeTelemetry {
     pub journal: EventJournal,
 }
 
-/// Everything the ingest thread, the join executors and the scrape surfaces
+/// Everything the ingest thread, the fold jobs and the scrape surfaces
 /// share.
 pub(crate) struct Shared {
     /// The one execution site: every session runs on this runtime's pools.

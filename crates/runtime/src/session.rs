@@ -356,19 +356,24 @@ pub(crate) fn joiner_guarded(
 ) -> Result<SessionReport, Box<dyn std::any::Any + Send>> {
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| joiner_loop(core, sink)));
     if let Err(panic) = &result {
-        // A panic that unwound out of a sink delivery leaves `delivering`
-        // set: that match was handed over but never completed — count it as
-        // dropped, not delivered.
-        // AcqRel: the swap decides *which thread* accounts the in-flight
-        // delivery as dropped (see the same protocol in reactor::abort);
-        // the winner must also observe the state written before the flag.
-        if core.counters.delivering.swap(false, Ordering::AcqRel) {
-            // RELAXED-OK: stat counter; the swap above already arbitrates.
-            core.counters.dropped_matches.fetch_add(1, Ordering::Relaxed);
-        }
-        core.poison(format!("joiner stage panicked: {}", crate::pool::panic_message(&**panic)));
+        joiner_panicked(core, &**panic);
     }
     result
+}
+
+/// A joiner stage panicked (here or in the reactor's fold job): the session
+/// dies. A panic that unwound out of a sink delivery leaves `delivering`
+/// set: that match was handed over but never completed — count it as
+/// dropped, not delivered.
+pub(crate) fn joiner_panicked(core: &SessionCore, panic: &(dyn std::any::Any + Send)) {
+    // AcqRel: the swap decides *which thread* accounts the in-flight
+    // delivery as dropped (see the same protocol in reactor::abort); the
+    // winner must also observe the state written before the flag.
+    if core.counters.delivering.swap(false, Ordering::AcqRel) {
+        // RELAXED-OK: stat counter; the swap above already arbitrates.
+        core.counters.dropped_matches.fetch_add(1, Ordering::Relaxed);
+    }
+    core.poison(format!("joiner stage panicked: {}", crate::pool::panic_message(panic)));
 }
 
 /// The joiner stage as an explicit state machine: folds chunk outputs in
@@ -378,10 +383,10 @@ pub(crate) fn joiner_guarded(
 ///
 /// * [`joiner_loop`] parks on the mailbox condvar between chunks — the
 ///   classic one-thread-per-session joiner;
-/// * the reactor's join executor calls [`JoinerState::fold_one`] /
-///   [`JoinerState::finalize`] from a small shared pool, polling the mailbox
-///   with [`SessionCore::try_take`] — hundreds of sessions, a handful of
-///   threads, nothing ever blocked.
+/// * the reactor's fold job calls [`JoinerState::fold_one`] /
+///   [`JoinerState::finalize`] on the runtime's worker pool, polling the
+///   mailbox with [`SessionCore::try_take`] — hundreds of sessions, no
+///   thread of their own, nothing ever blocked.
 pub(crate) struct JoinerState {
     /// The engine currently folding the stream. Starts as the session's
     /// compile-time engine; replaced when an [`EngineSwap`] boundary is

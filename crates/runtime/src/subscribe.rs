@@ -364,13 +364,11 @@ impl FanoutSink {
     fn fan_out(&mut self, b: BorrowedMatch) -> bool {
         let (mut guard, _) = lock_recover(&self.control.state);
         let state = &mut *guard;
-        // The route list is tiny (usually one pair); clone it so subscriber
-        // entries can be mutated while iterating.
-        let routes: Vec<(SubscriberId, usize)> =
-            state.attribution.get(b.m.query).cloned().unwrap_or_default();
+        let routes = state.attribution.get(b.m.query).map_or(&[][..], Vec::as_slice);
+        let mut payload = b.payload;
         let mut any_delivered = false;
         let mut to_detach: Vec<SubscriberId> = Vec::new();
-        for (sid, local) in routes {
+        for (i, &(sid, local)) in routes.iter().enumerate() {
             let Some(entry) = state.subscribers.get_mut(&sid) else { continue };
             if entry.dead.is_some() {
                 continue;
@@ -378,9 +376,10 @@ impl FanoutSink {
             let msg = BorrowedMatch {
                 stream: b.stream,
                 m: OnlineMatch { query: local, ..b.m },
-                // Refcount bump on the retained windows — the zero-copy path
-                // survives the fan-out; bytes are shared, never duplicated.
-                payload: b.payload.clone(),
+                // The last route takes the payload; the others bump the
+                // retained windows' refcounts — the zero-copy path survives
+                // the fan-out, and bytes are shared, never duplicated.
+                payload: if i + 1 == routes.len() { payload.take() } else { payload.clone() },
             };
             // A panicking subscriber sink kills that subscriber, not the
             // stream: every co-subscriber keeps receiving.
@@ -527,8 +526,8 @@ impl Runtime {
 /// Compiles the first subscriber's queries into a merged engine and builds
 /// the [`StreamControl`] around them — the session-independent half of
 /// [`Runtime::open_shared_stream`], shared with the reactor (which runs the
-/// pipeline on its own nonblocking feeder/join-executor machinery instead of
-/// a [`SessionHandle`]). The caller owns wiring a
+/// pipeline on its own nonblocking feeder and fold jobs instead of a
+/// [`SessionHandle`]). The caller owns wiring a
 /// [`FanoutSink`] into whatever drives the joiner, with
 /// `track_open_path` enabled on the session so mid-stream engine swaps can
 /// resume.

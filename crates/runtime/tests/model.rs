@@ -29,7 +29,13 @@
 //!   a worker that finishes a session's in-order chunk publishes its exit
 //!   and carries on with the next chunk itself, racing the feeder's submits,
 //!   a poisoning and the pool's shutdown — no chunk runs twice or out of
-//!   order, and no wake-up is lost (three "teeth" variants each drop one).
+//!   order, and no wake-up is lost (three "teeth" variants each drop one);
+//! - the reactor's fold job on the worker pool
+//!   (`crates/runtime/src/reactor.rs` / `pool.rs`): deposits, outbox parks,
+//!   the reactor's unparks and a poisoning race two workers — no fold is
+//!   lost, two runs of one session never overlap, a parked fold resumes
+//!   after a drain and a poison while parked still finalizes (two "teeth"
+//!   variants each drop one re-check).
 //!
 //! Every exhaustive run also asserts a floor on the number of interleavings
 //! actually explored, so a future refactor cannot quietly shrink the state
@@ -151,7 +157,7 @@ fn explore(model: &mut dyn Model, max_preemptions: usize) -> Explored {
 }
 
 // ---------------------------------------------------------------------------
-// A modelled mutex + condvar (used by the seqlock-writer and relay models)
+// A modelled mutex + condvar (used by the seqlock-writer, relay and fold models)
 // ---------------------------------------------------------------------------
 
 /// One mutex and one condvar, at model granularity.
@@ -894,9 +900,10 @@ fn gate_double_release_is_caught() {
 // ---------------------------------------------------------------------------
 //
 // Mirrors `joiner_guarded` (session.rs) racing the joiner panic path
-// (reactor.rs `run_join_task`): both sides `delivering.swap(false, AcqRel)`
-// and only the side that saw `true` counts the in-flight delivery as
-// dropped. Exactly one side must win, in every interleaving.
+// (reactor.rs, `JoinTask`'s `Fold::run`): both sides
+// `delivering.swap(false, AcqRel)` and only the side that saw `true` counts
+// the in-flight delivery as dropped. Exactly one side must win, in every
+// interleaving.
 
 struct DeliveringModel {
     flag: bool,
@@ -1366,6 +1373,455 @@ fn relay_without_its_wakes_is_caught() {
             explore(&mut m, 1);
         }));
         let panic = caught.expect_err("a dropped wake survived every interleaving");
+        let message = panic.downcast_ref::<String>().map_or("", String::as_str);
+        assert!(message.starts_with("deadlock"), "{bug:?} caught as {message:?}, not a wedge");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Model: the reactor's fold job on the worker pool (reactor.rs / pool.rs)
+// ---------------------------------------------------------------------------
+//
+// Mirrors crates/runtime/src/reactor.rs for one served session on two pool
+// workers. A depositor (a worker completing chunks: `SessionCore::complete`,
+// then `announce_total`) puts each output in the mailbox and calls
+// `enqueue_task`: its `sched` RMW moves IDLE → QUEUED and
+// `PoolShared::submit_fold` pushes the job and wakes a worker, or it moves
+// RUNNING → RERUN. A worker pops the fold (`next_work`), consumes the queue
+// mark (`Fold::run`: `sched = RUNNING`) and runs `join_steps`: park on a
+// full outbox (set `stalled_on_outbox`, re-check), `try_take` and fold one
+// chunk into the outbox — or finalize — and at the end `swap(IDLE)`, queueing
+// itself again if it saw RERUN. The reactor drains the outbox and, below the
+// cap, swaps `stalled_on_outbox` off and queues the fold; once the session
+// finalized, its outbox drained and its feed ended, it shuts the pool down
+// (the runtime that owns the pool outlives its sessions). A poisoner
+// (`SessionCore::poison` from a worker's panic, then `fire_deliverable`)
+// races all of it. Each folded chunk fills the one-frame outbox, so every
+// later fold parks until a drain.
+//
+// A lost fold leaves the session unfinalized with nothing queued: the
+// reactor waits on an empty outbox and the workers on an empty queue, which
+// the explorer reports as a deadlock.
+
+const FOLD_CHUNKS: usize = 2;
+const OUTBOX_CAP: usize = 1;
+
+/// `JoinTask::sched`.
+const IDLE: u8 = 0;
+const QUEUED: u8 = 1;
+const RUNNING: u8 = 2;
+const RERUN: u8 = 3;
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum FoldBug {
+    None,
+    /// The queue mark is cleared after the run instead of before it, so a
+    /// notification during the run is swallowed by the dedupe.
+    ClearQueuedAfterRun,
+    /// `join_steps` parks without re-checking the outbox after setting
+    /// `stalled_on_outbox`, so a drain in between never unparks it.
+    NoStallRecheck,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum DepositorPc {
+    /// Deposit chunk `i`, or announce the total at `i == FOLD_CHUNKS`.
+    Op(usize),
+    /// `enqueue_task` after op `i - 1`.
+    Notify(usize),
+    Done,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum FoldPc {
+    /// `next_work` under the queue lock: pop a fold and consume its queue
+    /// mark, see the shutdown, or park on `work_ready`.
+    Next,
+    Parked,
+    /// `join_steps`: `outbox.over_cap()`.
+    CheckCap,
+    /// `stalled_on_outbox.store(true)`.
+    SetStalled,
+    /// The re-check: still over the cap parks, else `stalled_on_outbox`
+    /// is cleared again.
+    Recheck,
+    /// `try_take` under the mailbox lock, then `fold_one` into the outbox
+    /// — or `finalize` on `Ended`, or return on `Pending`.
+    Take,
+    /// `sched.swap(IDLE)`.
+    End,
+    /// `enqueue_task` after a run that saw RERUN.
+    Requeue,
+    Done,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ReactorPc {
+    /// `handle_writable`: drain the outbox (POLLOUT), or wind down once the
+    /// session finalized and its outbox is empty.
+    Drain,
+    /// `!outbox.over_cap()`, then `stalled_on_outbox.swap(false)`.
+    Unpark,
+    Notify,
+    /// `WorkerPool::drop`: `shutdown` under the queue lock, `notify_all`.
+    Shutdown,
+    Done,
+}
+
+const FOLD_DEPOSITOR: usize = 0;
+const FOLD_REACTOR: usize = 3;
+const FOLD_POISONER: usize = 4;
+
+struct FoldModel {
+    bug: FoldBug,
+    poisoner: bool,
+    queue: MiniLock,
+    // Mailbox.
+    ready: [bool; FOLD_CHUNKS],
+    total_known: bool,
+    poisoned: bool,
+    // The join task.
+    sched: u8,
+    stalled: bool,
+    outbox: usize,
+    folded: Vec<usize>,
+    finalized: bool,
+    // The pool.
+    folds: usize,
+    shutdown: bool,
+    // Threads.
+    depositor: DepositorPc,
+    workers: [FoldPc; 2],
+    in_run: [bool; 2],
+    reactor: ReactorPc,
+    /// 0 = about to poison, 1 = about to enqueue, 2 = done.
+    poisoner_pc: u8,
+    /// Within one execution: the reactor unparked the fold.
+    unparked: bool,
+    /// Accumulated across executions: the paths the test means to cover.
+    ran_on: [bool; 2],
+    ever_rerun: bool,
+    ever_resumed_after_drain: bool,
+    ever_poisoned_while_parked: bool,
+}
+
+impl FoldModel {
+    fn new(bug: FoldBug, poisoner: bool) -> FoldModel {
+        FoldModel {
+            bug,
+            poisoner,
+            queue: MiniLock::default(),
+            ready: [false; FOLD_CHUNKS],
+            total_known: false,
+            poisoned: false,
+            sched: IDLE,
+            stalled: false,
+            outbox: 0,
+            folded: Vec::new(),
+            finalized: false,
+            folds: 0,
+            shutdown: false,
+            depositor: DepositorPc::Op(0),
+            workers: [FoldPc::Next; 2],
+            in_run: [false; 2],
+            reactor: ReactorPc::Drain,
+            poisoner_pc: 0,
+            unparked: false,
+            ran_on: [false; 2],
+            ever_rerun: false,
+            ever_resumed_after_drain: false,
+            ever_poisoned_while_parked: false,
+        }
+    }
+
+    /// reactor.rs `enqueue_task`, with `submit_fold`'s push and wake: one
+    /// step under the queue lock.
+    fn enqueue(&mut self, tid: usize) {
+        match self.sched {
+            IDLE => {
+                self.sched = QUEUED;
+                self.queue.acquire(tid);
+                self.folds += 1;
+                self.queue.unlock(tid);
+                self.queue.notify_one();
+            }
+            RUNNING => self.sched = RERUN,
+            _ => {}
+        }
+    }
+
+    fn step_depositor(&mut self, tid: usize) {
+        self.depositor = match self.depositor {
+            DepositorPc::Op(i) if i < FOLD_CHUNKS => {
+                // pool.rs `SessionCore::complete`; a dead session's chunks
+                // never run, so nothing is delivered for them.
+                if self.poisoned {
+                    DepositorPc::Op(i + 1)
+                } else {
+                    self.ready[i] = true;
+                    DepositorPc::Notify(i + 1)
+                }
+            }
+            DepositorPc::Op(_) => {
+                // pool.rs `SessionCore::announce_total`.
+                self.total_known = true;
+                DepositorPc::Notify(FOLD_CHUNKS + 1)
+            }
+            DepositorPc::Notify(then) => {
+                self.enqueue(tid);
+                if then > FOLD_CHUNKS {
+                    DepositorPc::Done
+                } else {
+                    DepositorPc::Op(then)
+                }
+            }
+            DepositorPc::Done => unreachable!("stepped a finished depositor"),
+        };
+    }
+
+    fn step_worker(&mut self, w: usize, tid: usize) {
+        self.workers[w] = match self.workers[w] {
+            FoldPc::Next | FoldPc::Parked => {
+                self.queue.acquire(tid);
+                if self.folds > 0 {
+                    self.folds -= 1;
+                    self.queue.unlock(tid);
+                    // reactor.rs `Fold::run`: the mark is consumed first.
+                    if self.bug != FoldBug::ClearQueuedAfterRun {
+                        self.sched = RUNNING;
+                    }
+                    self.in_run[w] = true;
+                    self.ran_on[w] = true;
+                    FoldPc::CheckCap
+                } else if self.shutdown {
+                    self.queue.unlock(tid);
+                    FoldPc::Done
+                } else {
+                    self.queue.wait(tid);
+                    FoldPc::Parked
+                }
+            }
+            FoldPc::CheckCap => {
+                if self.outbox >= OUTBOX_CAP {
+                    FoldPc::SetStalled
+                } else {
+                    FoldPc::Take
+                }
+            }
+            FoldPc::SetStalled => {
+                self.stalled = true;
+                if self.bug == FoldBug::NoStallRecheck {
+                    FoldPc::End
+                } else {
+                    FoldPc::Recheck
+                }
+            }
+            FoldPc::Recheck => {
+                if self.outbox >= OUTBOX_CAP {
+                    FoldPc::End
+                } else {
+                    self.stalled = false;
+                    FoldPc::Take
+                }
+            }
+            FoldPc::Take => {
+                let next = self.folded.len();
+                if self.finalized {
+                    FoldPc::End
+                } else if next < FOLD_CHUNKS && self.ready[next] {
+                    self.ready[next] = false;
+                    self.folded.push(next);
+                    self.outbox += 1;
+                    self.ever_resumed_after_drain |= self.unparked;
+                    FoldPc::CheckCap
+                } else {
+                    self.finalized = self.poisoned || (self.total_known && next == FOLD_CHUNKS);
+                    FoldPc::End
+                }
+            }
+            FoldPc::End => {
+                let prev = self.sched;
+                self.sched = IDLE;
+                self.in_run[w] = false;
+                if prev == RERUN {
+                    self.ever_rerun = true;
+                    FoldPc::Requeue
+                } else {
+                    FoldPc::Next
+                }
+            }
+            FoldPc::Requeue => {
+                self.enqueue(tid);
+                FoldPc::Next
+            }
+            FoldPc::Done => unreachable!("stepped a finished worker"),
+        };
+    }
+
+    fn step_reactor(&mut self, tid: usize) {
+        self.reactor = match self.reactor {
+            ReactorPc::Drain if self.outbox > 0 => {
+                self.outbox = 0;
+                ReactorPc::Unpark
+            }
+            ReactorPc::Drain => ReactorPc::Shutdown,
+            ReactorPc::Unpark => {
+                if self.outbox < OUTBOX_CAP && std::mem::take(&mut self.stalled) {
+                    self.unparked = true;
+                    ReactorPc::Notify
+                } else {
+                    ReactorPc::Drain
+                }
+            }
+            ReactorPc::Notify => {
+                self.enqueue(tid);
+                ReactorPc::Drain
+            }
+            ReactorPc::Shutdown => {
+                self.queue.acquire(tid);
+                self.shutdown = true;
+                self.queue.unlock(tid);
+                self.queue.notify_all();
+                ReactorPc::Done
+            }
+            ReactorPc::Done => unreachable!("stepped a finished reactor"),
+        };
+    }
+}
+
+impl Model for FoldModel {
+    fn reset(&mut self) {
+        self.queue.reset();
+        self.ready = [false; FOLD_CHUNKS];
+        self.total_known = false;
+        self.poisoned = false;
+        self.sched = IDLE;
+        self.stalled = false;
+        self.outbox = 0;
+        self.folded.clear();
+        self.finalized = false;
+        self.folds = 0;
+        self.shutdown = false;
+        self.depositor = DepositorPc::Op(0);
+        self.workers = [FoldPc::Next; 2];
+        self.in_run = [false; 2];
+        self.reactor = ReactorPc::Drain;
+        self.poisoner_pc = if self.poisoner { 0 } else { 2 };
+        self.unparked = false;
+    }
+
+    fn thread_count(&self) -> usize {
+        if self.poisoner {
+            5
+        } else {
+            4
+        }
+    }
+
+    fn is_done(&self, tid: usize) -> bool {
+        match tid {
+            FOLD_DEPOSITOR => self.depositor == DepositorPc::Done,
+            FOLD_REACTOR => self.reactor == ReactorPc::Done,
+            FOLD_POISONER => self.poisoner_pc == 2,
+            w => self.workers[w - 1] == FoldPc::Done,
+        }
+    }
+
+    fn is_enabled(&self, tid: usize) -> bool {
+        match tid {
+            FOLD_DEPOSITOR => match self.depositor {
+                DepositorPc::Notify(_) => self.queue.acquirable(tid),
+                DepositorPc::Op(_) => true,
+                DepositorPc::Done => false,
+            },
+            // The reactor waits for POLLOUT on a non-empty outbox; it winds
+            // down once the session finalized and its bytes are out, and
+            // the runtime outlives the session's feed and its poisoning.
+            FOLD_REACTOR => match self.reactor {
+                ReactorPc::Drain => self.outbox > 0 || self.finalized,
+                ReactorPc::Unpark => true,
+                ReactorPc::Notify => self.queue.acquirable(tid),
+                ReactorPc::Shutdown => {
+                    self.depositor == DepositorPc::Done
+                        && self.poisoner_pc == 2
+                        && self.queue.acquirable(tid)
+                }
+                ReactorPc::Done => false,
+            },
+            FOLD_POISONER => self.poisoner_pc == 0 || self.queue.acquirable(tid),
+            w => match self.workers[w - 1] {
+                FoldPc::Next | FoldPc::Requeue => self.queue.acquirable(tid),
+                FoldPc::Parked => self.queue.rewakeable(tid),
+                FoldPc::Done => false,
+                _ => true,
+            },
+        }
+    }
+
+    fn step(&mut self, tid: usize) {
+        match tid {
+            FOLD_DEPOSITOR => self.step_depositor(tid),
+            FOLD_REACTOR => self.step_reactor(tid),
+            FOLD_POISONER => {
+                if self.poisoner_pc == 0 {
+                    // pool.rs `SessionCore::poison`.
+                    self.ever_poisoned_while_parked |= self.stalled;
+                    self.poisoned = true;
+                } else {
+                    // Its `fire_deliverable`.
+                    self.enqueue(tid);
+                }
+                self.poisoner_pc += 1;
+            }
+            w => self.step_worker(w - 1, tid),
+        }
+    }
+
+    fn check(&self) {
+        assert!(!(self.in_run[0] && self.in_run[1]), "two fold runs of one session overlapped");
+        assert!(self.folds <= 1, "one session queued twice");
+    }
+
+    fn at_end(&self) {
+        assert!(self.finalized, "the session never finalized");
+        assert_eq!(self.folds, 0, "a queued fold outlived the pool");
+        if !self.poisoned {
+            assert_eq!(self.folded, (0..FOLD_CHUNKS).collect::<Vec<_>>(), "a chunk never folded");
+        }
+    }
+}
+
+/// The fold job on two workers racing the deposits, the reactor's drains
+/// and unparks, a poisoning and the pool's shutdown, under a
+/// one-preemption bound (~196k interleavings): no fold is lost (the explorer's deadlock check and
+/// the finalize check), two runs never overlap, every chunk folds once and
+/// in order, a parked fold resumes after a drain, and a poison that lands
+/// while the fold is parked still finalizes.
+#[test]
+fn fold_job_never_lost_never_overlapping() {
+    let mut m = FoldModel::new(FoldBug::None, true);
+    let explored = explore(&mut m, 1);
+    assert!(m.ran_on.iter().all(|&r| r), "the fold never ran on both workers");
+    assert!(m.ever_rerun, "no schedule queued the fold again during a run");
+    assert!(m.ever_resumed_after_drain, "no schedule resumed a parked fold after a drain");
+    assert!(m.ever_poisoned_while_parked, "no schedule poisoned the session while parked");
+    assert!(
+        explored.executions >= 1000,
+        "state space collapsed: only {} interleavings",
+        explored.executions
+    );
+}
+
+/// Teeth: clearing the queue mark after the run, or parking without the
+/// re-check, loses a fold, and the explorer must find the wedge.
+#[test]
+fn fold_job_without_its_rechecks_is_caught() {
+    for bug in [FoldBug::ClearQueuedAfterRun, FoldBug::NoStallRecheck] {
+        let mut m = FoldModel::new(bug, false);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            explore(&mut m, 1);
+        }));
+        let panic = caught.expect_err("a lost fold survived every interleaving");
         let message = panic.downcast_ref::<String>().map_or("", String::as_str);
         assert!(message.starts_with("deadlock"), "{bug:?} caught as {message:?}, not a wedge");
     }

@@ -186,7 +186,7 @@ fn partial_handshake_lines_across_many_readiness_events() {
 #[test]
 fn outbox_backpressure_parks_the_fold_and_bounds_memory() {
     // A dense-match query and a slow reader force the outbox to its cap:
-    // the join executor must park (flipping POLLOUT duty to the reactor),
+    // the fold job must park (flipping POLLOUT duty to the reactor),
     // resume as the socket drains, and the retention ring must stay under
     // the client's budget because a parked fold holds the session's credits.
     let doc = Arc::new(make_doc(1500));

@@ -2,10 +2,10 @@
 //! reactor server, from one process and (almost) no client threads.
 //!
 //! The point being proven: serving N slow connections costs a **fixed**
-//! number of threads — the ingest loop, the join executors and the worker
-//! pool — not N of anything. The storm:
+//! number of threads — the ingest loop and the worker pool, whose workers
+//! both transduce and fold — not N of anything. The storm:
 //!
-//! * starts a reactor server (1 ingest thread, 2 join threads, 2 workers);
+//! * starts a reactor server (1 ingest thread, 2 workers);
 //! * connects `clients` nonblocking sockets and drives them all from the
 //!   main thread in rounds, each client writing a small slice per round
 //!   (deliberately slow streams) and reading whatever frames arrived;
@@ -34,12 +34,12 @@ use std::time::{Duration, Instant};
 /// the scenario the reactor exists for.
 const WRITE_SLICE: usize = 257;
 
-/// The fixed thread ceiling: main + 1 ingest + 1 admin listener + 2 join +
-/// 2 workers, plus headroom for the runtime's own bookkeeping. The essential
-/// property: the ceiling depends on the *configuration*, not on the
-/// connection count; a thread-per-connection server would sit at
-/// ~`clients` threads during the storm.
-const THREAD_CEILING: usize = 17;
+/// The fixed thread ceiling: main + 1 ingest + 1 admin listener + 2 workers
+/// (folds run on the workers) = 5, plus 11 of headroom for the runtime's own
+/// bookkeeping. The essential property: the ceiling depends on the
+/// *configuration*, not on the connection count; a thread-per-connection
+/// server would sit at ~`clients` threads during the storm.
+const THREAD_CEILING: usize = 16;
 
 /// One slow client, driven round-robin by the main thread.
 struct StormClient {
