@@ -11,10 +11,11 @@ use crate::result::BaselineResult;
 use crate::sequential::run_inorder_with_spans;
 use ppt_automaton::Transducer;
 use ppt_core::filter::apply_filters;
-use ppt_core::parallel::ResolvedMatch;
+use ppt_core::ResolvedMatch;
 use ppt_xmlstream::fragment::{split_well_formed, FragmentSplit};
 use ppt_xpath::{compile_queries, QueryPlan, XPathError};
-use rayon::prelude::*;
+use std::panic::resume_unwind;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// Default fragment target size (same order as the paper's 10 MB skip).
@@ -32,7 +33,7 @@ pub struct FragmentStreamEngine {
 /// runs `work` over every fragment on a pool of `threads` workers, returning
 /// per-fragment results, the split duration, the query-phase duration and the
 /// idle fraction.
-pub(crate) fn fragment_parallel<T: Send, F>(
+pub(crate) fn fragment_parallel<T, F>(
     data: &[u8],
     fragment_size: usize,
     threads: usize,
@@ -40,31 +41,42 @@ pub(crate) fn fragment_parallel<T: Send, F>(
 ) -> (FragmentSplit, Vec<T>, Duration, Duration, f64)
 where
     F: Fn(&FragmentSplit, std::ops::Range<usize>) -> T + Sync,
+    T: Send,
 {
     let split_start = Instant::now();
     let split = split_well_formed(data, fragment_size);
     let split_time = split_start.elapsed();
 
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(threads.max(1))
-        .build()
-        // UNWRAP-OK: pool construction only fails on thread-spawn exhaustion,
-        // which is unrecoverable for a benchmark baseline.
-        .expect("failed to build rayon pool");
     let query_start = Instant::now();
-    let timed: Vec<(T, Duration)> = pool.install(|| {
-        split
-            .fragments
-            .par_iter()
-            .map(|frag| {
-                let t0 = Instant::now();
-                let out = work(&split, frag.clone());
-                (out, t0.elapsed())
+    // Fragments are pulled off a shared counter by scoped threads, so a slow
+    // fragment never holds up the rest of one thread's share.
+    let fragments = &split.fragments;
+    let next = AtomicUsize::new(0);
+    let mut timed: Vec<(usize, T, Duration)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads.clamp(1, fragments.len().max(1)))
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut local = Vec::new();
+                    loop {
+                        // RELAXED-OK: the counter only hands out distinct
+                        // indices (RMW atomicity); the scope's join
+                        // publishes the results.
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(frag) = fragments.get(i) else { break };
+                        let t0 = Instant::now();
+                        let out = work(&split, frag.clone());
+                        local.push((i, out, t0.elapsed()));
+                    }
+                    local
+                })
             })
-            .collect()
+            .collect();
+        let joined = handles.into_iter().map(|h| h.join().unwrap_or_else(|p| resume_unwind(p)));
+        joined.flatten().collect()
     });
     let query_time = query_start.elapsed();
-    let busy: Duration = timed.iter().map(|(_, d)| *d).sum();
+    timed.sort_unstable_by_key(|&(i, ..)| i);
+    let busy: Duration = timed.iter().map(|(.., d)| *d).sum();
     let capacity = query_time.as_secs_f64() * threads.max(1) as f64;
     // The sequential split keeps every worker idle, so it counts towards idle
     // time just as it does in the paper's measurements.
@@ -74,7 +86,7 @@ where
     } else {
         0.0
     };
-    let results = timed.into_iter().map(|(t, _)| t).collect();
+    let results = timed.into_iter().map(|(_, t, _)| t).collect();
     (split, results, split_time, query_time, idle)
 }
 

@@ -4,7 +4,7 @@
 use crate::result::BaselineResult;
 use ppt_automaton::{StateId, Transducer};
 use ppt_core::filter::apply_filters;
-use ppt_core::parallel::ResolvedMatch;
+use ppt_core::ResolvedMatch;
 use ppt_xmlstream::{Lexer, XmlEvent};
 use ppt_xpath::{compile_queries, QueryPlan, XPathError};
 use std::time::Instant;

@@ -19,11 +19,15 @@
 use crate::chunk::EngineKind;
 use crate::filter::apply_filters;
 pub use crate::filter::QueryMatch;
-use crate::parallel::{run_parallel, ParallelConfig, StreamProcessor};
+use crate::join::{run_all_states, Joiner, ResolvedMatch};
+use crate::sched::{self, Run, Sched};
 use crate::stats::RunStats;
 use ppt_automaton::Transducer;
 use ppt_xpath::{compile_queries, QueryPlan, XPathError};
 use std::io::Read;
+use std::ops::Range;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Runtime configuration of an [`Engine`].
@@ -33,8 +37,8 @@ pub struct EngineConfig {
     /// paper's prototype defaults to 10 MB, Fig 16 shows anything ≥ 1 MB
     /// behaves the same).
     pub chunk_size: usize,
-    /// Number of worker threads (`None` = rayon's default, usually the number
-    /// of logical cores).
+    /// Number of threads, the calling thread among them (`None` = the
+    /// available parallelism, usually the number of logical cores).
     pub threads: Option<usize>,
     /// Per-chunk engine: the double tree (default) or the naive mapping.
     pub engine: EngineKind,
@@ -96,15 +100,9 @@ impl EngineBuilder {
         self
     }
 
-    /// Sets the number of worker threads.
+    /// Sets the number of threads, the calling thread among them.
     pub fn threads(mut self, threads: usize) -> EngineBuilder {
         self.config.threads = Some(threads.max(1));
-        self
-    }
-
-    /// Selects the per-chunk engine.
-    pub fn engine_kind(mut self, kind: EngineKind) -> EngineBuilder {
-        self.config.engine = kind;
         self
     }
 
@@ -194,68 +192,48 @@ impl Engine {
         &self.config
     }
 
-    fn parallel_config(&self) -> ParallelConfig {
-        ParallelConfig {
-            chunk_size: self.config.chunk_size,
-            threads: self.config.threads,
-            engine: self.config.engine,
-            resolve_spans: self.config.resolve_spans,
-        }
-    }
-
-    /// Runs the engine over an in-memory byte slice using the parallel
-    /// pipeline (split → parallel → join → filter).
+    /// Runs the engine over an in-memory byte slice (split → transduce →
+    /// fold → filter), scheduled by [`crate::sched`].
     pub fn run(&self, data: &[u8]) -> QueryResult {
-        let (matches, stats) = run_parallel(&self.transducer, data, self.parallel_config());
-        self.finish(matches, stats)
+        let mut batch = Batch::new(self);
+        batch.feed(data);
+        self.finish(batch.finish())
     }
 
     /// Runs the engine strictly in order on a single thread (one chunk, one
     /// execution path). This is the "PPT (1 thread)" configuration of Fig 11
     /// and the semantic reference for differential tests.
     pub fn run_sequential(&self, data: &[u8]) -> QueryResult {
-        let config = ParallelConfig {
-            chunk_size: data.len().max(1),
-            threads: Some(1),
-            engine: self.config.engine,
-            resolve_spans: self.config.resolve_spans,
-        };
-        let (matches, stats) = run_parallel(&self.transducer, data, config);
-        self.finish(matches, stats)
+        let (kind, spans) = (self.config.engine, self.config.resolve_spans);
+        self.finish(run_all_states(&self.transducer, data, data.len().max(1), kind, spans))
     }
 
     /// Runs the engine over a reader, processing the stream window-by-window
     /// with bounded memory. The [`ppt_xmlstream::WindowSplitter`] cuts windows
     /// at tag boundaries and carries partial tags across windows, so chunks
-    /// never straddle a window and no tag is ever lexed in two halves.
+    /// never straddle a window and no tag is ever lexed in two halves. The
+    /// relay carries over from one window to the next.
     ///
     /// This call blocks until the reader is exhausted and returns every match
     /// at once. For *online* results — matches emitted while the stream is
-    /// still flowing, many sessions multiplexed over one worker pool — use
-    /// the `ppt-runtime` crate, which drives the same split → transduce →
-    /// fold pipeline through dedicated pipelined stages.
+    /// still flowing, many sessions on one worker pool — use `ppt-runtime`.
     pub fn run_reader<R: Read>(&self, mut reader: R) -> std::io::Result<QueryResult> {
-        let mut proc = StreamProcessor::new(&self.transducer, self.parallel_config());
+        let mut batch = Batch::new(self);
         let mut splitter = ppt_xmlstream::WindowSplitter::new(self.config.window_size);
         ppt_xmlstream::pump_reader(&mut reader, |bytes| {
             splitter.push(bytes);
             while let Some(window) = splitter.pop_window() {
-                proc.feed(&window);
+                batch.feed(&window);
             }
             true
         })?;
         if let Some(window) = splitter.finish() {
-            proc.feed(&window);
+            batch.feed(&window);
         }
-        let (matches, stats) = proc.finish();
-        Ok(self.finish(matches, stats))
+        Ok(self.finish(batch.finish()))
     }
 
-    fn finish(
-        &self,
-        matches: Vec<crate::parallel::ResolvedMatch>,
-        mut stats: RunStats,
-    ) -> QueryResult {
+    fn finish(&self, (matches, mut stats): (Vec<ResolvedMatch>, RunStats)) -> QueryResult {
         let filter_start = Instant::now();
         let outcome = apply_filters(&self.plan, &matches);
         stats.timings.filter = filter_start.elapsed();
@@ -266,6 +244,168 @@ impl Engine {
             subquery_match_total: matches.len(),
             stats,
         }
+    }
+}
+
+/// A chunk of the window a [`Batch`] is running.
+struct Piece {
+    index: usize,
+    range: Range<usize>,
+    tail: bool,
+}
+
+impl sched::Job for Piece {
+    fn seq(&self) -> u64 {
+        self.index as u64
+    }
+
+    fn is_tail(&self) -> bool {
+        self.tail
+    }
+}
+
+/// What a batch run's threads share, under one lock.
+struct State {
+    sched: Sched<Piece>,
+    /// Folds under the lock: one thread at a time, and short beside a chunk.
+    joiner: Joiner,
+    fold_next: u64,
+    /// Chunks run from all states.
+    speculative: usize,
+}
+
+/// A batch run: the [`crate::sched`] relay over one input, a window at a
+/// time, on `threads` threads with the calling thread among them. A thread
+/// runs the head, else folds, else speculates, else waits.
+struct Batch<'e> {
+    engine: &'e Engine,
+    threads: usize,
+    state: Mutex<State>,
+    progress: Condvar,
+    /// Chunks submitted so far, and the bytes before the window being run.
+    submitted: usize,
+    consumed: usize,
+    started: Instant,
+}
+
+/// Locks `mutex`; a thread that panicked halted the run and re-raises.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+impl<'e> Batch<'e> {
+    fn new(engine: &'e Engine) -> Batch<'e> {
+        let available = || std::thread::available_parallelism().map_or(1, |n| n.get());
+        let state = State {
+            sched: Sched::new(engine.transducer.initial()),
+            joiner: Joiner::new(&engine.transducer),
+            fold_next: 0,
+            speculative: 0,
+        };
+        Batch {
+            engine,
+            threads: engine.config.threads.unwrap_or_else(available).max(1),
+            state: Mutex::new(state),
+            progress: Condvar::new(),
+            submitted: 0,
+            consumed: 0,
+            started: Instant::now(),
+        }
+    }
+
+    /// Splits `window` (the next bytes of the input) and runs its chunks.
+    fn feed(&mut self, window: &[u8]) {
+        let started = Instant::now();
+        let chunk_size = self.engine.config.chunk_size;
+        let chunks = ppt_xmlstream::split_chunks(window, chunk_size);
+        let split = started.elapsed();
+        let state = self.state.get_mut().unwrap_or_else(PoisonError::into_inner);
+        for c in &chunks {
+            let (index, tail) = (self.submitted + c.index, 2 * c.range.len() < chunk_size);
+            state.sched.submit(Piece { index, range: c.range.clone(), tail });
+        }
+        self.submitted += chunks.len();
+        state.sched.set_total(self.submitted as u64);
+        let this = &*self;
+        std::thread::scope(|scope| {
+            for _ in 1..this.threads.min(chunks.len()) {
+                scope.spawn(|| this.work(window));
+            }
+            this.work(window);
+        });
+        self.consumed += window.len();
+        let state = self.state.get_mut().unwrap_or_else(PoisonError::into_inner);
+        state.joiner.stats.timings.split += split;
+        state.joiner.stats.timings.parallel += started.elapsed() - split;
+    }
+
+    /// One thread's share of a window, until all its chunks are folded.
+    fn work(&self, window: &[u8]) {
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let mut guard = lock(&self.state);
+            loop {
+                let state = &mut *guard;
+                if state.sched.ended(state.fold_next) {
+                    return;
+                }
+                guard = if let Some((piece, run)) = state.sched.claim_head() {
+                    self.transduce(guard, window, piece, run)
+                } else if let Some((out, _)) = state.sched.take(state.fold_next) {
+                    let started = Instant::now();
+                    state.joiner.fold(out);
+                    state.joiner.stats.timings.join += started.elapsed();
+                    state.fold_next += 1;
+                    self.progress.notify_all();
+                    guard
+                } else if let (Some(piece), _) = state.sched.take_speculative(self.threads) {
+                    self.transduce(guard, window, piece, Run::Speculative { head: false })
+                } else {
+                    self.progress.wait(guard).unwrap_or_else(PoisonError::into_inner)
+                };
+            }
+        }));
+        if let Err(panic) = outcome {
+            lock(&self.state).sched.halt();
+            self.progress.notify_all();
+            resume_unwind(panic);
+        }
+    }
+
+    /// Runs `piece` as `run` outside the lock and delivers its output.
+    fn transduce<'s>(
+        &'s self,
+        state: MutexGuard<'s, State>,
+        window: &[u8],
+        piece: Piece,
+        run: Run,
+    ) -> MutexGuard<'s, State> {
+        drop(state);
+        let config = &self.engine.config;
+        let slice = &window[piece.range.clone()];
+        let offset = self.consumed + piece.range.start;
+        let (t, kind, spans) = (&self.engine.transducer, config.engine, config.resolve_spans);
+        let (out, mut ran) = run.process(t, slice, offset, piece.index, kind, spans);
+        ran.sample = (!piece.tail).then_some((out.stats.busy, slice.len()));
+        let mut state = lock(&self.state);
+        state.speculative += usize::from(!ran.in_order);
+        state.sched.complete(piece.index as u64, out, ran);
+        self.progress.notify_all();
+        state
+    }
+
+    /// The matches in document order and the run's statistics.
+    fn finish(self) -> (Vec<ResolvedMatch>, RunStats) {
+        let state = self.state.into_inner().unwrap_or_else(PoisonError::into_inner);
+        let spans = self.engine.config.resolve_spans;
+        let (matches, mut stats) = state.joiner.finish(self.consumed, spans);
+        stats.threads = self.threads;
+        (stats.chunks_in_order, stats.chunks_speculative) =
+            (stats.chunks - state.speculative, state.speculative);
+        let capacity = stats.timings.parallel.as_secs_f64() * self.threads as f64;
+        let busy = (stats.worker_busy + stats.timings.join).as_secs_f64();
+        stats.idle_fraction = if capacity > 0.0 { (1.0 - busy / capacity).max(0.0) } else { 0.0 };
+        stats.timings.total = self.started.elapsed();
+        (matches, stats)
     }
 }
 
@@ -383,6 +523,47 @@ mod tests {
         assert!(s.tag_events > 0);
         assert!(s.overhead_factor() >= 1.0);
         assert_eq!(result.subquery_match_total, 2);
+    }
+
+    #[test]
+    fn the_relay_carries_across_windows() {
+        let engine = Engine::builder()
+            .add_queries(&["/a/b/c", "//d", "/a/b"])
+            .unwrap()
+            .chunk_size(6)
+            .threads(2)
+            .build()
+            .unwrap();
+        // Windows whose boundaries fall on '<'.
+        let mut batch = Batch::new(&engine);
+        batch.feed(&DOC[..17]);
+        batch.feed(&DOC[17..27]);
+        batch.feed(&DOC[27..]);
+        let (matches, stats) = batch.finish();
+        let seq = engine.run_sequential(DOC);
+        let got: Vec<(usize, usize, u32)> =
+            matches.iter().map(|m| (m.pos, m.end, m.depth)).collect();
+        let (expected, _) =
+            run_all_states(engine.transducer(), DOC, DOC.len(), EngineKind::Tree, true);
+        let expected: Vec<(usize, usize, u32)> =
+            expected.iter().map(|m| (m.pos, m.end, m.depth)).collect();
+        assert_eq!(got, expected);
+        assert_eq!(matches.len(), seq.subquery_match_total);
+        assert_eq!(stats.bytes, DOC.len());
+        assert_eq!(stats.chunks, stats.chunks_in_order + stats.chunks_speculative);
+    }
+
+    #[test]
+    fn one_thread_runs_every_chunk_in_order() {
+        let engine =
+            Engine::builder().add_query("//b").unwrap().chunk_size(4).threads(1).build().unwrap();
+        let result = engine.run(DOC);
+        let s = &result.stats;
+        assert_eq!((s.threads, s.chunks_speculative), (1, 0));
+        assert_eq!(s.chunks_in_order, s.chunks);
+        // One path per chunk: as many transitions as tags.
+        assert_eq!(s.overhead_factor(), 1.0);
+        assert_eq!(result.query_matches, engine.run_sequential(DOC).query_matches);
     }
 
     #[test]

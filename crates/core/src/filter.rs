@@ -17,7 +17,7 @@
 //! steps any containing anchor qualifies. Both rules follow directly from
 //! XPath semantics.
 
-use crate::parallel::ResolvedMatch;
+use crate::join::ResolvedMatch;
 use ppt_xpath::{BasicAxis, CompiledQuery, QueryPlan};
 
 /// A match of one of the user's queries.
@@ -229,14 +229,15 @@ fn attribute<F: FnMut(usize, usize)>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parallel::{run_parallel, ParallelConfig};
+    use crate::chunk::EngineKind;
+    use crate::join::run_all_states;
     use ppt_automaton::Transducer;
     use ppt_xpath::compile_queries;
 
     fn run(queries: &[&str], xml: &[u8]) -> (FilterOutcome, QueryPlan) {
         let plan = compile_queries(queries).unwrap();
         let t = Transducer::from_plan(&plan);
-        let (matches, _) = run_parallel(&t, xml, ParallelConfig::default());
+        let (matches, _) = run_all_states(&t, xml, 1 << 20, EngineKind::Tree, true);
         (apply_filters(&plan, &matches), plan)
     }
 

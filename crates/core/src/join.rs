@@ -8,8 +8,27 @@
 //! through to the unified entry (rules 1–3). Outputs concatenate in document
 //! order. Pairs that cannot be unified are discarded (rule 5).
 
+use crate::chunk::{process_chunk, ChunkOutput, EngineKind};
 use crate::mapping::{ChunkMapping, ChunkMatch, MapEntry, Mapping};
+use crate::stats::RunStats;
 use ppt_automaton::{StateId, Transducer};
+use std::time::Instant;
+
+/// A sub-query match with every position resolved: absolute byte offsets and
+/// absolute element depth.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ResolvedMatch {
+    /// Byte offset of the opening tag.
+    pub pos: usize,
+    /// Byte offset just past the closing tag ([`usize::MAX`] when spans were
+    /// not requested, or the end of the processed input when the element never
+    /// closes).
+    pub end: usize,
+    /// Element depth (root element = 1).
+    pub depth: u32,
+    /// The basic sub-query that matched.
+    pub subquery: u32,
+}
 
 /// Attempts to unify two entries, `first` describing the earlier part of the
 /// stream and `second` the later part. Returns `None` when the pair cannot be
@@ -87,13 +106,13 @@ pub struct FoldDelta {
 }
 
 impl FoldDelta {
-    /// Drains the matches as [`crate::parallel::ResolvedMatch`]es (the
-    /// canonical absolute-position form every consumer wants), clamping the
-    /// rebased depth at zero exactly as the batch pipeline does.
-    pub fn take_resolved_matches(&mut self) -> Vec<crate::parallel::ResolvedMatch> {
+    /// Drains the matches as [`ResolvedMatch`]es (the canonical
+    /// absolute-position form every consumer wants), clamping the rebased
+    /// depth at zero exactly as the batch pipeline does.
+    pub fn take_resolved_matches(&mut self) -> Vec<ResolvedMatch> {
         std::mem::take(&mut self.matches)
             .into_iter()
-            .map(|m| crate::parallel::ResolvedMatch {
+            .map(|m| ResolvedMatch {
                 pos: m.pos,
                 end: m.end,
                 depth: m.rel_depth.max(0) as u32,
@@ -212,12 +231,195 @@ impl PrefixFolder {
     }
 }
 
+/// A batch run's fold: matches, close ladder and counters, in chunk order.
+#[derive(Debug)]
+pub(crate) struct Joiner {
+    folder: PrefixFolder,
+    matches: Vec<ResolvedMatch>,
+    ladder: Vec<(usize, i64)>,
+    pub stats: RunStats,
+}
+
+impl Joiner {
+    pub fn new(t: &Transducer) -> Joiner {
+        let stats = RunStats { shared_table_bytes: t.table_bytes(), ..RunStats::default() };
+        Joiner { folder: PrefixFolder::new(t), matches: Vec::new(), ladder: Vec::new(), stats }
+    }
+
+    /// Folds the next chunk's output.
+    pub fn fold(&mut self, out: ChunkOutput) {
+        let s = &mut self.stats;
+        s.chunks += 1;
+        s.parallel_transitions += out.stats.transitions;
+        s.tag_events += out.stats.tag_events;
+        s.worker_busy += out.stats.busy;
+        s.peak_finish_states = s.peak_finish_states.max(out.stats.peak_finish_states);
+        s.working_set_bytes = s.working_set_bytes.max(out.stats.working_set_bytes);
+        s.match_records += out.stats.match_records;
+        // The folder rebases depths, follows the one entry that unifies with
+        // the prefix, and drains the matches the fold made final.
+        let mut delta = self.folder.fold(out.mapping, out.depth_delta, out.ladder);
+        self.ladder.append(&mut delta.ladder);
+        self.matches.extend(delta.take_resolved_matches());
+    }
+
+    /// The matches in document order, spans resolved when `spans`
+    /// (`total_len` caps elements that never close).
+    pub fn finish(mut self, total_len: usize, spans: bool) -> (Vec<ResolvedMatch>, RunStats) {
+        let started = Instant::now();
+        self.matches.sort_by_key(|m| m.pos);
+        if spans {
+            resolve_spans(&mut self.matches, &mut self.ladder, total_len);
+        }
+        self.stats.subquery_matches = self.matches.len();
+        self.stats.bytes = total_len;
+        self.stats.timings.join += started.elapsed();
+        (self.matches, self.stats)
+    }
+}
+
+/// Resolves the `end` of matches whose element closed in a later chunk, using
+/// the cross-chunk close ladder. `total_len` caps elements that never close.
+fn resolve_spans(matches: &mut [ResolvedMatch], ladder: &mut [(usize, i64)], total_len: usize) {
+    ladder.sort_by_key(|&(pos, _)| pos);
+    // Sweep matches and ladder events in position order, keeping a stack of
+    // unresolved matches (their depths are strictly increasing because an
+    // unresolved inner element implies an unresolved outer one).
+    let mut pending: Vec<usize> = Vec::new();
+    let mut events = ladder.iter().copied().peekable();
+    for i in 0..=matches.len() {
+        // Apply every ladder event before match `i` (after the last, all).
+        let before = matches.get(i).map_or(usize::MAX, |m| m.pos);
+        while let Some((pos, depth_after)) = events.next_if(|&(pos, _)| pos <= before) {
+            while let Some(&idx) = pending.last() {
+                if i64::from(matches[idx].depth) <= depth_after {
+                    break;
+                }
+                matches[idx].end = pos;
+                pending.pop();
+            }
+        }
+        if matches.get(i).is_some_and(|m| m.end == usize::MAX) {
+            pending.push(i);
+        }
+    }
+    // Elements that never close end at the end of the processed input.
+    for idx in pending {
+        matches[idx].end = total_len;
+    }
+}
+
+/// The paper's algorithm without threads: every chunk but the first runs
+/// from all states ([`process_chunk`]), the outputs fold in order. With one
+/// chunk it is the in-order reference, [`crate::Engine::run_sequential`].
+pub fn run_all_states(
+    t: &Transducer,
+    data: &[u8],
+    chunk_size: usize,
+    kind: EngineKind,
+    spans: bool,
+) -> (Vec<ResolvedMatch>, RunStats) {
+    let started = Instant::now();
+    let mut joiner = Joiner::new(t);
+    for c in ppt_xmlstream::split_chunks(data, chunk_size) {
+        let slice = &data[c.range.clone()];
+        joiner.fold(process_chunk(t, slice, c.range.start, c.index, c.index == 0, kind, spans));
+    }
+    let (matches, mut stats) = joiner.finish(data.len(), spans);
+    (stats.threads, stats.timings.total) = (1, started.elapsed());
+    (matches, stats)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::mapping::{ChunkMatch, Mapping};
-    use ppt_automaton::Transducer;
+    use ppt_automaton::{run_sequential, Transducer};
     use ppt_xmlstream::Symbol;
+
+    const DOC: &[u8] = b"<a><b><d></d></b><b><c></c></b></a>";
+
+    fn all_states(t: &Transducer, data: &[u8], chunk: usize) -> (Vec<ResolvedMatch>, RunStats) {
+        run_all_states(t, data, chunk, EngineKind::Tree, true)
+    }
+
+    fn positions(matches: &[ResolvedMatch]) -> Vec<(usize, u32)> {
+        matches.iter().map(|m| (m.pos, m.subquery)).collect()
+    }
+
+    #[test]
+    fn all_states_equals_sequential_for_every_chunk_size() {
+        let t = Transducer::from_queries(&["/a/b/c", "//b", "//d"]).unwrap();
+        let seq: Vec<(usize, u32)> =
+            run_sequential(&t, DOC).iter().map(|m| (m.pos, m.subquery)).collect();
+        for chunk_size in [1usize, 2, 3, 5, 7, 11, 17, 100] {
+            let (matches, stats) = all_states(&t, DOC, chunk_size);
+            assert_eq!(positions(&matches), seq, "chunk size {chunk_size}");
+            assert!(stats.chunks >= 1);
+            assert_eq!(stats.bytes, DOC.len());
+        }
+    }
+
+    #[test]
+    fn spans_are_resolved_across_chunks() {
+        let t = Transducer::from_queries(&["/a", "/a/b"]).unwrap();
+        // Tiny chunks force both <a> and the first <b> to close in later
+        // chunks.
+        let (matches, _) = all_states(&t, DOC, 4);
+        for m in &matches {
+            assert_ne!(m.end, usize::MAX);
+            let slice = &DOC[m.pos..m.end];
+            assert!(slice.starts_with(b"<a>") || slice.starts_with(b"<b>"));
+            assert!(slice.ends_with(b"</a>") || slice.ends_with(b"</b>"));
+        }
+        let a_match = matches.iter().find(|m| m.depth == 1).unwrap();
+        assert_eq!(&DOC[a_match.pos..a_match.end], DOC);
+    }
+
+    #[test]
+    fn depths_are_rebased_across_chunks() {
+        let t = Transducer::from_queries(&["//d", "//c"]).unwrap();
+        let (matches, _) = all_states(&t, DOC, 5);
+        assert_eq!(matches.len(), 2);
+        for m in &matches {
+            assert_eq!(m.depth, 3, "both d and c sit at depth 3");
+        }
+    }
+
+    #[test]
+    fn empty_input_is_fine() {
+        let t = Transducer::from_queries(&["/a"]).unwrap();
+        let (matches, stats) = all_states(&t, b"", 1 << 20);
+        assert!(matches.is_empty());
+        assert_eq!(stats.chunks, 0);
+    }
+
+    #[test]
+    fn stats_report_overhead_and_phases() {
+        let t = Transducer::from_queries(&["/a/b/c"]).unwrap();
+        let mut doc = Vec::new();
+        doc.extend_from_slice(b"<a>");
+        for _ in 0..500 {
+            doc.extend_from_slice(b"<b><c></c></b>");
+        }
+        doc.extend_from_slice(b"</a>");
+        let (matches, stats) = all_states(&t, &doc, 256);
+        assert_eq!(matches.len(), 500);
+        assert!(stats.overhead_factor() >= 1.0);
+        assert!(stats.parallel_transitions >= stats.tag_events);
+        assert!(stats.chunks > 1);
+        assert!(stats.timings.total >= stats.timings.parallel);
+        assert!(stats.working_set_bytes > 0);
+        assert!(stats.shared_table_bytes > 0);
+    }
+
+    #[test]
+    fn naive_engine_agrees_with_tree_engine_end_to_end() {
+        let t = Transducer::from_queries(&["/a/b/c", "//b"]).unwrap();
+        let (a, _) = all_states(&t, DOC, 5);
+        let (b, _) = run_all_states(&t, DOC, 5, EngineKind::Naive, true);
+        assert_eq!(positions(&a), positions(&b));
+    }
 
     fn entry(qs: u32, zs: &[u32], qf: u32, zf: &[u32], outs: usize) -> MapEntry {
         MapEntry {

@@ -16,13 +16,13 @@
 //!   transition functions `fplain`/`fpush`/`fpop`/`funknown` (§4.1, Alg 1),
 //!   and the compact per-chunk result with its shared output tape.
 //! * [`join`] — the unification function `j`/`J` merging two mappings
-//!   (§4.1, Alg 2) and the single-entry fold the pipelines run.
+//!   (§4.1, Alg 2), the fold the pipelines run, the all-states reference.
 //! * [`tree`] — the double-tree data structure that processes all entries
 //!   sharing a finishing state at once (§4.2, Algs 3–6, Figs 5/6), on a flat
 //!   arena with every match stored once.
 //! * [`chunk`] — out-of-order processing of a single chunk (either engine).
-//! * [`parallel`] — the split → parallel → join pipeline on a rayon pool
-//!   (§3.2 phases i–iii).
+//! * [`sched`] — the relay scheduler both the batch engine and the online
+//!   runtime drive (§3.2 phases i–iii).
 //! * [`filter`] — predicate recombination for rewritten queries (§3.2 phase
 //!   iv).
 //! * [`stats`] — phase timings, transition counts, worker idle time and
@@ -40,12 +40,12 @@ pub mod engine;
 pub mod filter;
 pub mod join;
 pub mod mapping;
-pub mod parallel;
+pub mod sched;
 pub mod stats;
 pub mod tree;
 
 pub use chunk::{process_chunk, process_chunk_from, ChunkOutput, EngineKind};
 pub use engine::{Engine, EngineBuilder, EngineConfig, QueryMatch, QueryResult};
+pub use join::ResolvedMatch;
 pub use mapping::{ChunkMapping, ChunkMatch, MapEntry, Mapping};
-pub use parallel::{run_parallel, ParallelConfig, ResolvedMatch, StreamProcessor};
 pub use stats::RunStats;

@@ -31,8 +31,12 @@ pub struct RunStats {
     pub bytes: usize,
     /// Number of chunks processed.
     pub chunks: usize,
-    /// Number of worker threads used for the parallel phase.
+    /// Number of threads the run used, the calling thread among them.
     pub threads: usize,
+    /// Chunks run in order, from their exact entry (one path each).
+    pub chunks_in_order: usize,
+    /// Chunks run from all states, ahead of the in-order chain.
+    pub chunks_speculative: usize,
     /// Phase timings.
     pub timings: PhaseTimings,
     /// Transducer transitions performed by the out-of-order engines (per
@@ -71,15 +75,6 @@ impl RunStats {
         self.bytes as f64 / 1_000_000.0 / secs
     }
 
-    /// Throughput of the parallel phase alone in MB/s.
-    pub fn parallel_throughput_mbs(&self) -> f64 {
-        let secs = self.timings.parallel.as_secs_f64();
-        if secs == 0.0 {
-            return 0.0;
-        }
-        self.bytes as f64 / 1_000_000.0 / secs
-    }
-
     /// The §3.3 convergence overhead: out-of-order transitions divided by the
     /// transitions a purely sequential execution would perform. Values close
     /// to 1 mean the state mappings converged quickly.
@@ -108,6 +103,8 @@ mod tests {
             bytes: 10_000_000,
             chunks: 10,
             threads: 4,
+            chunks_in_order: 8,
+            chunks_speculative: 2,
             timings: PhaseTimings {
                 split: Duration::from_millis(1),
                 parallel: Duration::from_millis(80),
@@ -132,7 +129,6 @@ mod tests {
         let s = sample();
         assert!((s.throughput_mbs() - 100.0).abs() < 1e-9);
         assert!((s.throughput_per_core_mbs() - 25.0).abs() < 1e-9);
-        assert!(s.parallel_throughput_mbs() > s.throughput_mbs());
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! A token-level scanner over the workspace's Rust sources enforcing the
 //! project invariants that `rustc` and clippy cannot see — the conventions
-//! the hand-rolled concurrency core (raw `poll(2)` FFI, seqlock-bracketed
-//! stats, relaxed-atomic telemetry) depends on for correctness:
+//! the hand-rolled concurrency core (raw `poll(2)` FFI, poison-recovering
+//! locks, relaxed-atomic telemetry) depends on for correctness:
 //!
 //! | id | rule |
 //! |----|------|

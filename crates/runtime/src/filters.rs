@@ -23,7 +23,7 @@
 use crate::resolver::SpanEvent;
 use crate::sink::OnlineMatch;
 use ppt_core::filter::filter_single_query;
-use ppt_core::parallel::ResolvedMatch;
+use ppt_core::ResolvedMatch;
 use ppt_xpath::QueryPlan;
 
 enum QueryMode {

@@ -274,10 +274,6 @@ impl std::fmt::Debug for Runtime {
     }
 }
 
-/// `Runtime` *is* the session manager; this alias keeps call sites that talk
-/// about session management readable.
-pub type SessionManager = Runtime;
-
 impl Runtime {
     /// Starts building a runtime.
     pub fn builder() -> RuntimeBuilder {

@@ -2,26 +2,23 @@
 //!
 //! One [`WorkerPool`] serves every session of a [`crate::Runtime`]. A
 //! session's submitted chunks wait in its own [`Mailbox`], not in a shared
-//! queue, and each session carries a *relay*: the sequence number of the
-//! chunk every earlier chunk of which has run, and that chunk's exact entry
-//! state and stack, starting at `(q₀, ε)`. The pool's queue holds only work
-//! that may start now:
+//! queue; its scheduling decisions are the relay of [`ppt_core::sched`],
+//! held under the mailbox lock. The pool's queue holds only work that may
+//! start now:
 //!
 //! * **heads** — a session's relay chunk, claimed the moment it is both
-//!   submitted and next. It runs in order from the exact entry
-//!   ([`process_chunk_from`], one path, sequential speed); the worker that
+//!   submitted and next. It runs in order from the exact entry (one path,
+//!   sequential speed); the worker that
 //!   ran it publishes the exit into the relay and carries straight on with
 //!   the session's next chunk if it is already waiting — no wake, no queue —
 //!   unless heads or folds are queued, which it then lets go first.
 //! * **folds** — a served session's join ([`Fold`]), queued when a chunk is
 //!   delivered, a parked fold's outbox drained, or the session ended or
 //!   died. Served after heads: the fold width is the worker count.
-//! * **candidates** — sessions with waiting chunks ahead of the relay that a
-//!   worker which would otherwise idle may run from all states
-//!   ([`process_chunk`], the paper's speculation), when the session's
-//!   measured cost ratio R is below the worker count (see
-//!   [`Mailbox::may_speculate`]). The relay passes such a chunk by following
-//!   its mapping from the exact entry.
+//! * **candidates** — sessions with chunks ahead of the relay that a worker
+//!   which would otherwise idle may run from all states when
+//!   [`Sched::may_speculate`]; R's samples are the worker thread's CPU time
+//!   ([`thread_cpu_time`]).
 //!
 //! Per-session fairness falls out of the credit scheme: a session may only
 //! have `inflight_chunks` chunks admitted at a time, so one slow consumer
@@ -31,9 +28,9 @@ use crate::retain::RetentionRing;
 use crate::stats::Counters;
 use crate::telemetry::RuntimeTelemetry;
 use crate::SessionOptions;
-use ppt_automaton::StateId;
-use ppt_core::chunk::{process_chunk, process_chunk_from, ChunkOutput, EngineKind};
+use ppt_core::chunk::{ChunkOutput, EngineKind};
 use ppt_core::join::PrefixFolder;
+use ppt_core::sched::{self, Ran, Run, Sched};
 use ppt_core::Engine;
 use ppt_xmlstream::SharedWindow;
 use std::collections::{BTreeMap, VecDeque};
@@ -93,79 +90,14 @@ pub(crate) struct Job {
     pub seq: u64,
 }
 
-impl Job {
-    /// Under half the engine's chunk size — a window's tail, mostly. Its
-    /// fixed cost per chunk swamps the per-byte one: never worth running from
-    /// all states, and no sample of R.
+impl sched::Job for Job {
+    fn seq(&self) -> u64 {
+        self.seq
+    }
+
     fn is_tail(&self) -> bool {
         2 * self.range.len() < self.engine.config().chunk_size
     }
-}
-
-/// Where a session's real execution path stands at its relay's chunk.
-enum Path {
-    /// The exact entry: state and whole stack (top last).
-    Known(StateId, Vec<StateId>),
-    /// A worker holds the entry and is running the chunk in order.
-    Running,
-    /// The path is lost (an underflow or a mismatched close): nothing the
-    /// join folds emits a match again, and every chunk starts from all
-    /// states — until an engine swap re-seeds the path.
-    Lost,
-}
-
-/// A session's relay: the chunk every earlier chunk of which has run, and
-/// that chunk's exact entry. It starts at chunk 0 in `(q₀, ε)`.
-struct Relay {
-    next: u64,
-    path: Path,
-}
-
-/// What a session has measured of its two ways to run a chunk:
-/// `(worker CPU nanoseconds, bytes)` summed over its chunks of each kind,
-/// tails ([`Job::is_tail`]) left out.
-#[derive(Default)]
-struct Costs {
-    in_order: (u128, usize),
-    speculative: (u128, usize),
-    /// A speculative chunk is running while R is not known yet.
-    probing: bool,
-}
-
-impl Costs {
-    fn record(&mut self, in_order: bool, cpu: Duration, bytes: usize) {
-        let sum = if in_order { &mut self.in_order } else { &mut self.speculative };
-        *sum = (sum.0 + cpu.as_nanos(), sum.1 + bytes);
-    }
-
-    /// R: speculative ns/byte over in-order ns/byte — the number of workers
-    /// at which running chunks from all states breaks even with running
-    /// them one after another (§3.3's convergence overhead, measured).
-    fn ratio(&self) -> Option<f64> {
-        let per_byte = |(ns, bytes): (u128, usize)| (bytes > 0).then(|| ns as f64 / bytes as f64);
-        Some(per_byte(self.speculative)? / per_byte(self.in_order)?.max(f64::MIN_POSITIVE))
-    }
-}
-
-/// What a worker reports of a chunk it ran, besides the output.
-struct Ran {
-    /// The chunk was the relay's own.
-    head: bool,
-    /// It ran in order, from the exact entry; `exit` is then its exact exit.
-    in_order: bool,
-    exit: Option<(StateId, Vec<StateId>)>,
-    /// The chunk's CPU time ([`thread_cpu_time`]) and length, when it is a
-    /// sample of R (not a tail).
-    sample: Option<(Duration, usize)>,
-}
-
-/// How a worker runs a chunk.
-pub(crate) enum Run {
-    /// The session's head chunk from its exact entry, on one path.
-    InOrder(StateId, Vec<StateId>),
-    /// From all states; `head` when the chunk is the relay's own (its path
-    /// is lost) rather than one ahead of it.
-    Speculative { head: bool },
 }
 
 /// A mid-stream engine replacement, scheduled at a chunk-sequence boundary.
@@ -185,27 +117,15 @@ pub(crate) struct EngineSwap {
 /// A session's scheduling state and the reorder buffer between its workers
 /// and its joiner, under one lock.
 pub(crate) struct Mailbox {
-    /// Submitted chunks no worker has started, in sequence order. The
-    /// relay's own chunk is never among them: it is claimed the moment it is
-    /// both submitted and next.
-    waiting: VecDeque<Job>,
-    relay: Relay,
-    costs: Costs,
-    /// The session sits in the pool's list of speculation candidates.
-    listed: bool,
-    /// Completed chunk outputs keyed by sequence number. Those at or past
-    /// the relay are speculative outputs it has not reached yet.
-    pub ready: BTreeMap<u64, ChunkOutput>,
+    /// Waiting chunks, the relay, R and the outputs the joiner has not taken.
+    sched: Sched<Job>,
     /// Engine swaps keyed by the first chunk sequence they apply to. A
     /// second swap scheduled at the same boundary overwrites the first —
     /// merged engines only ever grow, so the later one subsumes it.
-    pub swaps: BTreeMap<u64, EngineSwap>,
-    /// Total number of chunks the feeder will submit, once known (set by
-    /// `finish`).
-    pub total: Option<u64>,
+    swaps: BTreeMap<u64, EngineSwap>,
     /// Why the session was poisoned (a worker panicked on one of its
     /// chunks), if it was.
-    pub poisoned: Option<String>,
+    poisoned: Option<String>,
 }
 
 /// What a change of one session's scheduling state asks of the pool.
@@ -217,98 +137,6 @@ struct Wake {
     /// The session newly has chunks a worker that would otherwise idle may
     /// speculate on.
     list: bool,
-}
-
-impl Mailbox {
-    fn new(initial: StateId) -> Mailbox {
-        Mailbox {
-            waiting: VecDeque::new(),
-            relay: Relay { next: 0, path: Path::Known(initial, Vec::new()) },
-            costs: Costs::default(),
-            listed: false,
-            ready: BTreeMap::new(),
-            swaps: BTreeMap::new(),
-            total: None,
-            poisoned: None,
-        }
-    }
-
-    /// The relay reaches chunk `seq`: an engine swap scheduled there re-seeds
-    /// the path for the new transducer from the open-tag path, exactly as
-    /// the joiner's folder is rebuilt when it folds that chunk.
-    fn enter(&mut self, seq: u64) {
-        if let Some(swap) = self.swaps.get(&seq) {
-            let names = swap.open_path.iter().map(Vec::as_slice);
-            let folder = PrefixFolder::resume(swap.engine.transducer(), names, 0);
-            self.relay.path = match folder.resolved() {
-                Some((state, stack)) => Path::Known(state, stack.to_vec()),
-                None => Path::Lost,
-            };
-        }
-    }
-
-    /// Carries the relay across the speculative outputs already delivered
-    /// for its chunk and the ones after it, following each mapping from the
-    /// exact entry. Runs in the same critical section that delivers a chunk,
-    /// so the joiner cannot fold one of them before the relay passed it.
-    fn pass_delivered(&mut self) {
-        while self.ready.contains_key(&self.relay.next) {
-            let seq = self.relay.next;
-            self.enter(seq);
-            let path = std::mem::replace(&mut self.relay.path, Path::Lost);
-            if let (Path::Known(state, mut stack), Some(out)) = (path, self.ready.get(&seq)) {
-                if let Some(exit) = out.mapping.exit_from(state, &mut stack) {
-                    self.relay.path = Path::Known(exit, stack);
-                }
-            }
-            self.relay.next += 1;
-        }
-    }
-
-    /// Claims the relay's chunk if it is waiting, handing over its entry.
-    fn claim_head(&mut self) -> Option<(Job, Run)> {
-        if self.poisoned.is_some() || self.waiting.front()?.seq != self.relay.next {
-            return None;
-        }
-        let job = self.waiting.pop_front()?;
-        self.enter(job.seq);
-        let run = match std::mem::replace(&mut self.relay.path, Path::Running) {
-            Path::Known(state, stack) => Run::InOrder(state, stack),
-            _ => {
-                self.relay.path = Path::Lost;
-                Run::Speculative { head: true }
-            }
-        };
-        Some((job, run))
-    }
-
-    /// Whether a worker that would otherwise idle may run one of this
-    /// session's waiting chunks from all states. Never on one worker; always
-    /// once the path is lost (no chunk can run in order then); otherwise
-    /// while R is below the worker count — the break-even — and, until R is
-    /// known, one probe chunk at a time.
-    fn may_speculate(&self, workers: usize) -> bool {
-        if workers < 2 || self.poisoned.is_some() {
-            return false;
-        }
-        if matches!(self.relay.path, Path::Lost) {
-            return true;
-        }
-        match self.costs.ratio() {
-            Some(r) => r < workers as f64,
-            None => !self.costs.probing,
-        }
-    }
-
-    /// Marks the session listed when it newly has chunks to speculate on;
-    /// `true` asks the caller to put it on the pool's candidate list.
-    fn list(&mut self, workers: usize) -> bool {
-        let list = !self.listed
-            && self.waiting.iter().any(|job| !job.is_tail())
-            && self.may_speculate(workers);
-        self.listed |= list;
-        list
-    }
 }
 
 /// Progress callbacks a *non-blocking* session driver (the reactor)
@@ -387,7 +215,11 @@ impl SessionCore {
     ) -> SessionCore {
         let kind = engine.config().engine;
         let resolve_spans = engine.config().resolve_spans;
-        let mailbox = Mailbox::new(engine.transducer().initial());
+        let mailbox = Mailbox {
+            sched: Sched::new(engine.transducer().initial()),
+            swaps: BTreeMap::new(),
+            poisoned: None,
+        };
         SessionCore {
             engine,
             kind,
@@ -504,67 +336,22 @@ impl SessionCore {
         Some(mb)
     }
 
-    /// Feeder side: a submitted chunk waits in the session; it is claimed at
-    /// once when it is the relay's chunk. Chunks of a dead session are
-    /// dropped.
-    fn enqueue(&self, job: Job, workers: usize) -> Wake {
+    /// A worker finished chunk `seq`: delivers it and claims the relay's next
+    /// chunk if it is waiting, for the caller to run.
+    fn complete(&self, seq: u64, out: ChunkOutput, ran: Ran, workers: usize) -> Wake {
         let Some(mut mb) = self.lock_mailbox() else { return Wake::default() };
-        if mb.poisoned.is_some() {
-            return Wake::default();
-        }
-        mb.waiting.push_back(job);
-        let head = mb.claim_head();
-        Wake { head, list: mb.list(workers) }
-    }
-
-    /// A worker that would otherwise idle: takes the waiting chunk farthest
-    /// ahead of the relay (the one the in-order chain reaches last) that is
-    /// not a tail, when the session may speculate. The flag says to list the
-    /// session again.
-    fn take_speculative(&self, workers: usize) -> (Option<Job>, bool) {
-        let Some(mut mb) = self.lock_mailbox() else { return (None, false) };
-        mb.listed = false;
-        if !mb.may_speculate(workers) {
-            return (None, false);
-        }
-        let at = mb.waiting.iter().rposition(|job| !job.is_tail());
-        let job = at.and_then(|at| mb.waiting.remove(at));
-        mb.costs.probing |= job.is_some() && mb.costs.ratio().is_none();
-        (job, mb.list(workers))
-    }
-
-    /// A worker finished chunk `seq` (`exit`: the exact exit of an in-order
-    /// run): moves the relay, delivers the output to the joiner and claims
-    /// the relay's next chunk if it is waiting — for the caller to run.
-    fn complete(&self, seq: u64, out: ChunkOutput, run: Ran, workers: usize) -> Wake {
-        let Some(mut mb) = self.lock_mailbox() else { return Wake::default() };
-        if let Some((cpu, bytes)) = run.sample {
-            mb.costs.record(run.in_order, cpu, bytes);
-        }
-        mb.costs.probing &= run.in_order;
-        if run.head {
-            mb.relay.next = seq + 1;
-            if run.in_order {
-                mb.relay.path = match run.exit {
-                    Some((state, stack)) => Path::Known(state, stack),
-                    None => Path::Lost,
-                };
-            }
-        }
-        mb.ready.insert(seq, out);
-        self.counters.raise_peak_reorder(mb.ready.len());
-        mb.pass_delivered();
-        let wake = Wake { head: mb.claim_head(), list: mb.list(workers) };
+        self.counters.raise_peak_reorder(mb.sched.complete(seq, out, ran));
+        let wake = Wake { head: mb.sched.claim_head(), list: mb.sched.list(workers) };
         drop(mb);
         self.mailbox_cv.notify_all();
         self.fire_deliverable();
         wake
     }
 
-    /// The session's last measured R (see [`Mailbox::may_speculate`]), once
+    /// The session's last measured R (see [`Sched::may_speculate`]), once
     /// both kinds of chunk have run.
     pub fn speculation_ratio(&self) -> Option<f64> {
-        lock_recover(&self.mailbox).0.costs.ratio()
+        lock_recover(&self.mailbox).0.sched.ratio()
     }
 
     /// Schedules an engine swap: every chunk with sequence `>= seq` must be
@@ -572,8 +359,14 @@ impl SessionCore {
     /// engine on the jobs it submits from that boundary on) before any such
     /// chunk can reach the joiner, so the joiner can never fold a post-swap
     /// chunk with the pre-swap automaton.
+    /// The relay re-seeds its path there from the open-tag path, as the
+    /// joiner rebuilds its folder.
     pub fn schedule_swap(&self, seq: u64, swap: EngineSwap) {
+        let names = swap.open_path.iter().map(Vec::as_slice);
+        let folder = PrefixFolder::resume(swap.engine.transducer(), names, 0);
+        let entry = folder.resolved().map(|(state, stack)| (state, stack.to_vec()));
         if let Some(mut mb) = self.lock_mailbox() {
+            mb.sched.reseed(seq, entry);
             mb.swaps.insert(seq, swap);
         }
     }
@@ -594,7 +387,7 @@ impl SessionCore {
     /// Announces that exactly `total` chunks were submitted (stream ended).
     pub fn announce_total(&self, total: u64) {
         let Some(mut mb) = self.lock_mailbox() else { return };
-        mb.total = Some(total);
+        mb.sched.set_total(total);
         drop(mb);
         self.mailbox_cv.notify_all();
         self.fire_deliverable();
@@ -612,8 +405,7 @@ impl SessionCore {
             mb.poisoned = Some(message);
         }
         // Nothing of a dead session runs again.
-        mb.waiting.clear();
-        mb.relay.path = Path::Lost;
+        mb.sched.halt();
         self.dead.store(true, Ordering::SeqCst);
         drop(mb);
         self.mailbox_cv.notify_all();
@@ -662,13 +454,11 @@ impl SessionCore {
 
     /// One look at the mailbox for chunk `seq`, under its lock.
     fn take_locked(&self, mb: &mut Mailbox, seq: u64) -> TryTake {
-        if let Some(out) = mb.ready.remove(&seq) {
-            if let Some((&highest, _)) = mb.ready.iter().next_back() {
-                self.counters.raise_peak_join_lag(highest.saturating_sub(seq));
-            }
+        if let Some((out, lag)) = mb.sched.take(seq) {
+            self.counters.raise_peak_join_lag(lag);
             return TryTake::Ready(out);
         }
-        if mb.poisoned.is_some() || mb.total.is_some_and(|total| seq >= total) {
+        if mb.sched.ended(seq) {
             return TryTake::Ended;
         }
         TryTake::Pending
@@ -801,7 +591,9 @@ impl PoolShared {
             if let Some(session) = queue.candidates.pop_front() {
                 // The session lock is never taken under the queue lock.
                 drop(queue);
-                let (job, relist) = session.take_speculative(self.workers);
+                let (job, relist) = session
+                    .lock_mailbox()
+                    .map_or((None, false), |mut mb| mb.sched.take_speculative(self.workers));
                 let wake = Wake { head: None, list: relist };
                 self.dispatch(&session, wake, false);
                 if let Some(job) = job {
@@ -836,8 +628,6 @@ impl PoolShared {
             core.poison(format!("chunk sequence {} overflows usize on this platform", job.seq));
             return None;
         };
-        let head = matches!(run, Run::InOrder(..) | Run::Speculative { head: true });
-        let in_order = matches!(run, Run::InOrder(..));
         let started = Instant::now();
         let cpu_started = thread_cpu_time();
         // A panic while transducing one session's chunk must not take the
@@ -848,26 +638,16 @@ impl PoolShared {
             if core.panic_on_chunk == Some(job.seq) {
                 panic!("injected fault on chunk {}", job.seq);
             }
-            let t = job.engine.transducer();
             let slice = &job.window.bytes()[job.range.clone()];
             let offset = job.window.base() + job.range.start;
-            match run {
-                Run::InOrder(state, stack) => {
-                    process_chunk_from(t, slice, offset, index, state, stack, core.resolve_spans)
-                }
-                Run::Speculative { .. } => {
-                    let out = process_chunk(
-                        t,
-                        slice,
-                        offset,
-                        index,
-                        false,
-                        core.kind,
-                        core.resolve_spans,
-                    );
-                    (out, None)
-                }
-            }
+            run.process(
+                job.engine.transducer(),
+                slice,
+                offset,
+                index,
+                core.kind,
+                core.resolve_spans,
+            )
         }));
         let busy = started.elapsed();
         let cpu =
@@ -875,7 +655,7 @@ impl PoolShared {
         // RELAXED-OK: monotonic stat accumulator; orders nothing.
         core.counters.worker_busy_nanos.fetch_add(busy.as_nanos() as u64, Ordering::Relaxed);
         core.telemetry.transduce_nanos.record_duration(busy);
-        let (out, exit) = match result {
+        let (out, mut ran) = match result {
             Ok(done) => done,
             Err(panic) => {
                 core.poison(format!(
@@ -886,7 +666,7 @@ impl PoolShared {
                 return None;
             }
         };
-        let (session_count, pool_count) = if in_order {
+        let (session_count, pool_count) = if ran.in_order {
             (&core.counters.chunks_in_order, &self.chunks_in_order)
         } else {
             (&core.counters.chunks_speculative, &self.chunks_speculative)
@@ -895,8 +675,7 @@ impl PoolShared {
         session_count.fetch_add(1, Ordering::Relaxed);
         // RELAXED-OK: as above.
         pool_count.fetch_add(1, Ordering::Relaxed);
-        let sample = (!job.is_tail()).then(|| (cpu, job.range.len()));
-        let ran = Ran { head, in_order, exit, sample };
+        ran.sample = (!sched::Job::is_tail(&job)).then(|| (cpu, job.range.len()));
         let wake = core.complete(job.seq, out, ran, self.workers);
         self.dispatch(&core, wake, true)
     }
@@ -972,7 +751,11 @@ impl WorkerPool {
         let queued = self.shared.queued.fetch_add(1, Ordering::Relaxed) + 1;
         // RELAXED-OK: as above.
         self.shared.peak_queue.fetch_max(queued, Ordering::Relaxed);
-        let wake = session.enqueue(job, self.shared.workers);
+        // It waits in the session, claimed at once as the relay's chunk.
+        let wake = session.lock_mailbox().map_or_else(Wake::default, |mut mb| {
+            mb.sched.submit(job);
+            Wake { head: mb.sched.claim_head(), list: mb.sched.list(self.shared.workers) }
+        });
         self.shared.dispatch(session, wake, false);
     }
 

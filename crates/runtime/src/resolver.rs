@@ -18,7 +18,7 @@
 //! closes exactly the pending matches deeper than `d` — the identical
 //! invariant the batch sweep relies on.
 
-use ppt_core::parallel::ResolvedMatch;
+use ppt_core::ResolvedMatch;
 
 /// An element-lifecycle event derived from the folded prefix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

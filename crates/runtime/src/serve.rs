@@ -248,17 +248,10 @@ impl TcpServerBuilder {
             shutting_down: AtomicBool::new(false),
             accepted: AtomicU64::new(0),
             handshake_rejects: AtomicU64::new(0),
-            sessions_completed: AtomicU64::new(0),
-            sessions_failed: AtomicU64::new(0),
-            frames_out: AtomicU64::new(0),
-            bytes_out: AtomicU64::new(0),
-            matches: AtomicU64::new(0),
-            peak_retained: AtomicUsize::new(0),
             active: AtomicUsize::new(0),
-            reports: Mutex::new(VecDeque::new()),
+            ledger: Mutex::default(),
             hub: Mutex::new(HashMap::new()),
             telemetry: Arc::new(ServeTelemetry::default()),
-            record_epoch: AtomicU64::new(0),
             reactor_counters: Arc::default(),
         });
         let reactor = crate::reactor::spawn(Arc::clone(&shared), listener)?;
@@ -341,6 +334,19 @@ pub(crate) struct ServeTelemetry {
     pub journal: EventJournal,
 }
 
+/// What [`Shared::record`] totals over the recorded connections, and the
+/// latest reports themselves, under one lock.
+#[derive(Default)]
+struct Ledger {
+    sessions_completed: u64,
+    sessions_failed: u64,
+    frames_out: u64,
+    bytes_out: u64,
+    matches: u64,
+    peak_retained: usize,
+    reports: VecDeque<ConnectionReport>,
+}
+
 /// Everything the ingest thread, the fold jobs and the scrape surfaces
 /// share.
 pub(crate) struct Shared {
@@ -351,14 +357,8 @@ pub(crate) struct Shared {
     pub(crate) shutting_down: AtomicBool,
     pub(crate) accepted: AtomicU64,
     pub(crate) handshake_rejects: AtomicU64,
-    sessions_completed: AtomicU64,
-    sessions_failed: AtomicU64,
-    frames_out: AtomicU64,
-    bytes_out: AtomicU64,
-    matches: AtomicU64,
-    peak_retained: AtomicUsize,
     pub(crate) active: AtomicUsize,
-    reports: Mutex<VecDeque<ConnectionReport>>,
+    ledger: Mutex<Ledger>,
     /// Live shared streams by stream id: a later connection whose handshake
     /// names one of these ids *attaches* to the running stream (one
     /// transducer pass fans out to every subscriber) instead of opening a
@@ -366,11 +366,6 @@ pub(crate) struct Shared {
     /// removed when its stream finishes.
     pub(crate) hub: Mutex<HashMap<u64, Arc<StreamControl>>>,
     pub(crate) telemetry: Arc<ServeTelemetry>,
-    /// Seqlock epoch over [`Shared::record`]'s multi-counter update: odd
-    /// while a record is mid-flight, bumped even when it settles. Snapshot
-    /// readers retry (bounded) on a torn window instead of locking the
-    /// record path.
-    record_epoch: AtomicU64,
     /// The reactor's event-loop counters: the ingest thread counts into
     /// them, and every scrape surface (in-band `STATS`, admin listener,
     /// [`TcpServer::stats`]) reads the same source of truth.
@@ -397,87 +392,46 @@ impl Shared {
             EventKind::Poisoned
         };
         self.telemetry.journal.record(kind, report.stream_id);
-        // Writer side: the reports mutex, which `record` takes anyway, is
-        // acquired before the first epoch bump so writers serialize — two
-        // in-flight writers would break the epoch's odd/even parity and let
-        // a reader validate a torn snapshot (see
-        // crates/runtime/tests/model.rs::seqlock_two_writers_*). Snapshot
-        // readers never touch it.
-        let (mut reports, _) = lock_recover(&self.reports);
-        // Seqlock write side: a stats snapshot taken mid-record could see
-        // e.g. the session counted completed but its frames not yet added —
-        // a torn tuple. The epoch is odd while the counter group updates;
-        // readers retry until they bracket an even, unchanged epoch.
-        self.record_epoch.fetch_add(1, Ordering::AcqRel);
-        // RELAXED-OK (whole group): these updates are bracketed by the
-        // record_epoch AcqRel edges above/below; snapshot readers validate
-        // the bracket, so the interior needs only per-field atomicity.
-        // (Model-checked in crates/runtime/tests/model.rs::seqlock.)
+        let (mut ledger, _) = lock_recover(&self.ledger);
         if failed {
-            // RELAXED-OK: seqlock-bracketed (see group note above).
-            self.sessions_failed.fetch_add(1, Ordering::Relaxed);
+            ledger.sessions_failed += 1;
         } else {
-            // RELAXED-OK: seqlock-bracketed (see group note above).
-            self.sessions_completed.fetch_add(1, Ordering::Relaxed);
+            ledger.sessions_completed += 1;
         }
-        // RELAXED-OK: seqlock-bracketed (see group note above).
-        self.frames_out.fetch_add(report.frames, Ordering::Relaxed);
-        // RELAXED-OK: seqlock-bracketed (see group note above).
-        self.bytes_out.fetch_add(report.bytes_out, Ordering::Relaxed);
+        ledger.frames_out += report.frames;
+        ledger.bytes_out += report.bytes_out;
         if let Some(session) = &report.report {
-            // RELAXED-OK: seqlock-bracketed (see group note above).
-            self.matches.fetch_add(session.stats.matches, Ordering::Relaxed);
-            // RELAXED-OK: seqlock-bracketed (see group note above).
-            self.peak_retained.fetch_max(session.stats.peak_retained_bytes, Ordering::Relaxed);
+            ledger.matches += session.stats.matches;
+            ledger.peak_retained = ledger.peak_retained.max(session.stats.peak_retained_bytes);
         }
-        self.record_epoch.fetch_add(1, Ordering::AcqRel);
-        if reports.len() == MAX_REMEMBERED_REPORTS {
-            reports.pop_front();
+        if ledger.reports.len() == MAX_REMEMBERED_REPORTS {
+            ledger.reports.pop_front();
         }
-        reports.push_back(report);
+        ledger.reports.push_back(report);
     }
 
     /// A live snapshot of the server's accounting — the single assembly
     /// behind [`TcpServer::stats`], the `STATS` verb and the admin listener.
+    /// The recorded connections' totals come from one look at the ledger, so
+    /// the snapshot never shows half of one connection's accounting.
     pub(crate) fn server_stats(&self) -> ServerStats {
-        // Seqlock read side: retry while a `record` is mid-update so the
-        // snapshot never shows half of one connection's accounting. Bounded:
-        // under a pathological record storm the last attempt is taken as-is
-        // (each field is still individually atomic).
-        for _ in 0..64 {
-            let before = self.record_epoch.load(Ordering::Acquire);
-            if before & 1 == 1 {
-                std::hint::spin_loop();
-                continue;
-            }
-            let snap = self.server_stats_unsynced();
-            if self.record_epoch.load(Ordering::Acquire) == before {
-                return snap;
-            }
-        }
-        self.server_stats_unsynced()
-    }
-
-    fn server_stats_unsynced(&self) -> ServerStats {
         let (chunks_in_order, chunks_speculative) = self.runtime.chunk_modes();
+        let ledger = lock_recover(&self.ledger).0;
         ServerStats {
-            // Acquire on the seqlock read side: these loads must not drift
-            // past the epoch re-validation in `server_stats` (upgraded from
-            // Relaxed in the PR-8 concurrency audit).
             accepted: self.accepted.load(Ordering::Acquire),
             active: self.active.load(Ordering::Acquire),
             handshake_rejects: self.handshake_rejects.load(Ordering::Acquire),
-            sessions_completed: self.sessions_completed.load(Ordering::Acquire),
-            sessions_failed: self.sessions_failed.load(Ordering::Acquire),
-            frames_out: self.frames_out.load(Ordering::Acquire),
-            bytes_out: self.bytes_out.load(Ordering::Acquire),
-            matches: self.matches.load(Ordering::Acquire),
-            peak_retained_bytes: self.peak_retained.load(Ordering::Acquire),
+            sessions_completed: ledger.sessions_completed,
+            sessions_failed: ledger.sessions_failed,
+            frames_out: ledger.frames_out,
+            bytes_out: ledger.bytes_out,
+            matches: ledger.matches,
+            peak_retained_bytes: ledger.peak_retained,
             peak_queue_depth: self.runtime.peak_queue_depth(),
             chunks_in_order,
             chunks_speculative,
             reactor: self.reactor_counters.snapshot(),
-            connections: lock_recover(&self.reports).0.iter().cloned().collect(),
+            connections: ledger.reports.iter().cloned().collect(),
         }
     }
 

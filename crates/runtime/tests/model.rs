@@ -9,11 +9,6 @@
 //!
 //! Covered protocols:
 //!
-//! - the `Shared::record` seqlock vs. the `server_stats` snapshot reader
-//!   (`crates/runtime/src/serve.rs`) — a validated snapshot is never torn,
-//!   single- and multi-writer (the multi-writer case is why `record`
-//!   serializes writers on the reports mutex; the unserialized variant is
-//!   kept as a "teeth" test proving the checker would catch the regression);
 //! - `Histogram` record/snapshot (`crates/runtime/src/telemetry.rs`)
 //!   — snapshots never undercount their own buckets and totals are
 //!   conserved once writers drain;
@@ -157,7 +152,7 @@ fn explore(model: &mut dyn Model, max_preemptions: usize) -> Explored {
 }
 
 // ---------------------------------------------------------------------------
-// A modelled mutex + condvar (used by the seqlock-writer, relay and fold models)
+// A modelled mutex + condvar (used by the relay and fold models)
 // ---------------------------------------------------------------------------
 
 /// One mutex and one condvar, at model granularity.
@@ -224,313 +219,6 @@ impl MiniLock {
     fn rewakeable(&self, tid: usize) -> bool {
         self.lock_free() && self.wakeable.contains(&tid)
     }
-}
-
-// ---------------------------------------------------------------------------
-// Model: the Shared::record seqlock vs. the server_stats snapshot reader
-// ---------------------------------------------------------------------------
-//
-// Mirrors crates/runtime/src/serve.rs: `record` brackets a multi-counter
-// update with two `record_epoch.fetch_add(1, AcqRel)` bumps (odd while
-// mid-flight), and `server_stats` retries until it reads an even epoch that
-// is unchanged across the whole snapshot. The counter group is reduced to
-// two counters with a linear relation — `sessions += 1`, `frames += FRAMES`
-// per record — so a torn snapshot is exactly one where the relation fails.
-
-const FRAMES: u64 = 3;
-/// Reader retry budget — small so the model stays finite; the real reader
-/// uses 64 (serve.rs `server_stats`) and then degrades to an unvalidated
-/// snapshot, which the model represents by simply giving up validated=false.
-const READER_TRIES: usize = 3;
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum WriterPc {
-    /// Serialized variant only: take the writer lock (the reports mutex).
-    Lock,
-    EpochOdd,
-    AddSessions,
-    AddFrames,
-    EpochEven,
-    /// Serialized variant only: drop the writer lock.
-    Unlock,
-    Done,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ReaderPc {
-    LoadBefore,
-    LoadSessions,
-    LoadFrames,
-    Validate,
-    Done,
-}
-
-struct SeqlockModel {
-    /// One `record` call per writer thread when `serialize_writers`;
-    /// otherwise `records_per_writer` back-to-back records on one writer.
-    writers: usize,
-    records_per_writer: usize,
-    /// The PR-8 fix (serve.rs `record`): writers serialize on the reports
-    /// mutex. The broken variant (false) exists to prove the model's teeth.
-    serialize_writers: bool,
-    // Shared state.
-    epoch: u64,
-    sessions: u64,
-    frames: u64,
-    lock: MiniLock,
-    // Per-writer machine.
-    wpc: Vec<WriterPc>,
-    wdone_records: Vec<usize>,
-    // Reader machine (always thread id == writers).
-    rpc: ReaderPc,
-    r_before: u64,
-    r_sessions: u64,
-    r_frames: u64,
-    r_tries: usize,
-    /// Set instead of panicking so teeth tests can assert a tear WAS found.
-    torn_seen: bool,
-    validated_snapshots: u64,
-}
-
-impl SeqlockModel {
-    fn new(writers: usize, records_per_writer: usize, serialize_writers: bool) -> SeqlockModel {
-        SeqlockModel {
-            writers,
-            records_per_writer,
-            serialize_writers,
-            epoch: 0,
-            sessions: 0,
-            frames: 0,
-            lock: MiniLock::default(),
-            wpc: Vec::new(),
-            wdone_records: Vec::new(),
-            rpc: ReaderPc::LoadBefore,
-            r_before: 0,
-            r_sessions: 0,
-            r_frames: 0,
-            r_tries: 0,
-            torn_seen: false,
-            validated_snapshots: 0,
-        }
-    }
-
-    fn writer_entry(&self) -> WriterPc {
-        if self.serialize_writers {
-            WriterPc::Lock
-        } else {
-            WriterPc::EpochOdd
-        }
-    }
-
-    fn step_writer(&mut self, tid: usize) {
-        self.wpc[tid] = match self.wpc[tid] {
-            WriterPc::Lock => {
-                self.lock.acquire(tid);
-                WriterPc::EpochOdd
-            }
-            WriterPc::EpochOdd => {
-                // serve.rs record: first `record_epoch.fetch_add(1, AcqRel)`.
-                self.epoch += 1;
-                WriterPc::AddSessions
-            }
-            WriterPc::AddSessions => {
-                // serve.rs record: `sessions_completed.fetch_add(1, Relaxed)`.
-                self.sessions += 1;
-                WriterPc::AddFrames
-            }
-            WriterPc::AddFrames => {
-                // serve.rs record: `frames_out.fetch_add(report.frames, ..)`.
-                self.frames += FRAMES;
-                WriterPc::EpochEven
-            }
-            WriterPc::EpochEven => {
-                // serve.rs record: closing `record_epoch.fetch_add(1, AcqRel)`.
-                self.epoch += 1;
-                if self.serialize_writers {
-                    WriterPc::Unlock
-                } else {
-                    self.wdone_records[tid] += 1;
-                    if self.wdone_records[tid] < self.records_per_writer {
-                        WriterPc::EpochOdd
-                    } else {
-                        WriterPc::Done
-                    }
-                }
-            }
-            WriterPc::Unlock => {
-                self.lock.unlock(tid);
-                self.wdone_records[tid] += 1;
-                if self.wdone_records[tid] < self.records_per_writer {
-                    WriterPc::Lock
-                } else {
-                    WriterPc::Done
-                }
-            }
-            WriterPc::Done => unreachable!("stepped a finished writer"),
-        };
-    }
-
-    fn step_reader(&mut self) {
-        self.rpc = match self.rpc {
-            ReaderPc::LoadBefore => {
-                // serve.rs server_stats: `let before = record_epoch.load(Acquire)`.
-                self.r_before = self.epoch;
-                if self.r_before & 1 == 1 {
-                    // Odd epoch: a record is mid-flight; spin (one retry).
-                    self.r_tries += 1;
-                    if self.r_tries >= READER_TRIES {
-                        ReaderPc::Done
-                    } else {
-                        ReaderPc::LoadBefore
-                    }
-                } else {
-                    ReaderPc::LoadSessions
-                }
-            }
-            ReaderPc::LoadSessions => {
-                // serve.rs server_stats_unsynced: per-field Acquire loads.
-                self.r_sessions = self.sessions;
-                ReaderPc::LoadFrames
-            }
-            ReaderPc::LoadFrames => {
-                self.r_frames = self.frames;
-                ReaderPc::Validate
-            }
-            ReaderPc::Validate => {
-                // serve.rs server_stats: revalidate `record_epoch` unchanged.
-                if self.epoch == self.r_before {
-                    self.validated_snapshots += 1;
-                    if self.r_frames != FRAMES * self.r_sessions {
-                        self.torn_seen = true;
-                    }
-                    ReaderPc::Done
-                } else {
-                    self.r_tries += 1;
-                    if self.r_tries >= READER_TRIES {
-                        ReaderPc::Done
-                    } else {
-                        ReaderPc::LoadBefore
-                    }
-                }
-            }
-            ReaderPc::Done => unreachable!("stepped a finished reader"),
-        };
-    }
-}
-
-impl Model for SeqlockModel {
-    fn reset(&mut self) {
-        self.epoch = 0;
-        self.sessions = 0;
-        self.frames = 0;
-        self.lock.reset();
-        self.wpc = vec![self.writer_entry(); self.writers];
-        self.wdone_records = vec![0; self.writers];
-        self.rpc = ReaderPc::LoadBefore;
-        self.r_before = 0;
-        self.r_sessions = 0;
-        self.r_frames = 0;
-        self.r_tries = 0;
-        // `torn_seen` / `validated_snapshots` accumulate across executions.
-    }
-
-    fn thread_count(&self) -> usize {
-        self.writers + 1
-    }
-
-    fn is_done(&self, tid: usize) -> bool {
-        if tid < self.writers {
-            self.wpc[tid] == WriterPc::Done
-        } else {
-            self.rpc == ReaderPc::Done
-        }
-    }
-
-    fn is_enabled(&self, tid: usize) -> bool {
-        if tid < self.writers && self.wpc[tid] == WriterPc::Lock {
-            return self.lock.acquirable(tid);
-        }
-        true
-    }
-
-    fn step(&mut self, tid: usize) {
-        if tid < self.writers {
-            self.step_writer(tid);
-        } else {
-            self.step_reader();
-        }
-    }
-
-    fn check(&self) {
-        // The writer-side invariant that makes parity validation sound: the
-        // epoch is odd exactly while some writer is inside the bracket.
-        if self.serialize_writers || self.writers * self.records_per_writer == 1 {
-            let mid_flight = self
-                .wpc
-                .iter()
-                .any(|&pc| matches!(pc, WriterPc::AddSessions | WriterPc::AddFrames));
-            if mid_flight {
-                assert_eq!(self.epoch & 1, 1, "writer mid-bracket but epoch even");
-            }
-            if !self.torn_seen {
-                // No validated tear may ever occur in the sound variants.
-            }
-        }
-    }
-
-    fn at_end(&self) {
-        assert_eq!(self.frames, FRAMES * self.sessions, "writers drained but totals diverged");
-    }
-}
-
-/// Single writer (two back-to-back records) vs. one snapshot reader: the
-/// protocol a one-ingest-thread server runs (`record` is only called from
-/// its event loop). Every validated snapshot must be consistent.
-#[test]
-fn seqlock_single_writer_never_torn() {
-    let mut m = SeqlockModel::new(1, 2, false);
-    let explored = explore(&mut m, usize::MAX);
-    assert!(!m.torn_seen, "validated snapshot was torn under a single writer");
-    assert!(m.validated_snapshots > 0, "reader never validated a snapshot");
-    assert!(
-        explored.executions >= 1000,
-        "state space collapsed: only {} interleavings",
-        explored.executions
-    );
-}
-
-/// Teeth: two unserialized writers break epoch parity (both bump the epoch
-/// to an even value while counters are still mid-update), so some
-/// interleaving yields a *validated* torn snapshot — the bug concurrent
-/// recorders (several threads closing connections) would hit; the
-/// exhaustive search must find it, proving the harness can catch the
-/// regression.
-#[test]
-fn seqlock_two_writers_unserialized_tears() {
-    let mut m = SeqlockModel::new(2, 1, false);
-    let explored = explore(&mut m, usize::MAX);
-    assert!(
-        m.torn_seen,
-        "expected the exhaustive search to find a torn validated snapshot \
-         with unserialized writers ({} interleavings searched)",
-        explored.executions
-    );
-}
-
-/// The shipped fix: writers serialize on the reports mutex (taken before
-/// the first epoch bump in `Shared::record`), readers stay lock-free. No
-/// interleaving of two writers and a reader validates a torn snapshot.
-#[test]
-fn seqlock_two_writers_serialized_never_torn() {
-    let mut m = SeqlockModel::new(2, 1, true);
-    let explored = explore(&mut m, usize::MAX);
-    assert!(!m.torn_seen, "validated snapshot was torn despite writer serialization");
-    assert!(m.validated_snapshots > 0, "reader never validated a snapshot");
-    assert!(
-        explored.executions >= 1000,
-        "state space collapsed: only {} interleavings",
-        explored.executions
-    );
 }
 
 // ---------------------------------------------------------------------------

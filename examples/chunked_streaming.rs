@@ -1,7 +1,9 @@
 //! Out-of-order chunk processing, shown one level below the `Engine` façade:
 //! the stream is split into arbitrary chunks, each chunk produces a state
 //! mapping, the mappings are unified, and the result equals a sequential run
-//! — the core mechanism of the paper made visible.
+//! — the core mechanism of the paper made visible. Then the same stream
+//! through `Engine::run_reader`, which runs a chunk from all states only
+//! when that pays.
 //!
 //! ```sh
 //! cargo run --release --example chunked_streaming
@@ -10,7 +12,7 @@
 use pp_xml::automaton::Transducer;
 use pp_xml::core::chunk::{process_chunk, EngineKind};
 use pp_xml::core::join::unify_mappings;
-use pp_xml::core::{Engine, ParallelConfig, StreamProcessor};
+use pp_xml::core::Engine;
 use pp_xml::datasets::TreebankConfig;
 use pp_xml::xmlstream::split_chunks;
 
@@ -68,25 +70,38 @@ fn main() {
         .expect("one execution path survives for well-formed input");
     println!("joined mapping: {} sub-query matches survive", entry.outputs.len());
 
-    // --- Level 2: the StreamProcessor does the same thing windowed -------
-    let mut proc = StreamProcessor::new(&transducer, ParallelConfig::default());
-    // Windows must be cut at tag boundaries (Engine::run_reader does this
-    // automatically); reuse the splitter to get '<'-aligned window ranges.
-    for window in split_chunks(&data, 64 * 1024) {
-        proc.feed(&data[window.range]);
-    }
-    let (matches, stats) = proc.finish();
+    // The §3.3 overhead of the all-states step: its transitions over those
+    // of one in-order pass.
+    let out_of_order: u64 = outputs.iter().map(|o| o.stats.transitions).sum();
+    let in_order = pp_xml::core::chunk::sequential_transitions(&transducer, &data);
+    println!("all-states overhead: {:.2}x", out_of_order as f64 / in_order as f64);
+
+    // --- Level 2: the engine reads the stream window by window -----------
+    // Each chunk runs in order from the exact entry the chunk before it left;
+    // an idle thread speculates from all states only while that pays.
+    let engine = Engine::builder()
+        .add_queries(&queries)
+        .expect("queries compile")
+        .chunk_size(16 * 1024)
+        .window_size(64 * 1024)
+        .build()
+        .expect("engine compiles");
+    let streamed = engine.run_reader(&data[..]).expect("reading a slice cannot fail");
+    let stats = &streamed.stats;
     println!(
-        "stream processor: {} matches, overhead {:.2}x, {} chunks",
-        matches.len(),
-        stats.overhead_factor(),
-        stats.chunks
+        "run_reader: {} matches, {} chunks ({} in order, {} speculative), \
+         {:.2} transitions per tag",
+        streamed.subquery_match_total,
+        stats.chunks,
+        stats.chunks_in_order,
+        stats.chunks_speculative,
+        stats.overhead_factor()
     );
 
     // --- Level 3: sanity-check against the engine façade -----------------
     let engine = Engine::from_queries(&queries).expect("engine compiles");
     let reference = engine.run(&data);
     assert_eq!(entry.outputs.len(), reference.stats.subquery_matches);
-    assert_eq!(matches.len(), reference.stats.subquery_matches);
+    assert_eq!(streamed.subquery_match_total, reference.stats.subquery_matches);
     println!("all three levels agree with the sequential reference ✓");
 }

@@ -38,10 +38,15 @@ fn main() {
     }
 
     let stats = &result.stats;
+    // In-order chunks make one transition per tag and speculative ones one
+    // per tag and starting state, so this is the run's actual work per tag.
     println!(
-        "\nprocessed {} bytes in {} chunks on {} threads ({:.2}x transition overhead)",
+        "\nprocessed {} bytes in {} chunks ({} in order, {} speculative) on {} threads \
+         ({:.2} transitions per tag)",
         stats.bytes,
         stats.chunks,
+        stats.chunks_in_order,
+        stats.chunks_speculative,
         stats.threads,
         stats.overhead_factor()
     );

@@ -6,10 +6,13 @@
 //!
 //! The system executes a small set of streaming XPath queries against an XML
 //! byte stream with **data parallelism**: the stream is split at *arbitrary*
-//! byte boundaries into chunks, each chunk is processed out-of-order by a
-//! parallel pushdown transducer that maintains a mapping from every possible
-//! starting state to its finishing state, and the per-chunk mappings are then
-//! unified in an inexpensive sequential join.
+//! byte boundaries into chunks, and the per-chunk results are unified in an
+//! inexpensive sequential join. A chunk whose entry state is known runs in
+//! order from it; a thread that would otherwise idle runs a chunk ahead
+//! out-of-order, with a parallel pushdown transducer that maintains a
+//! mapping from every possible starting state to its finishing state, while
+//! the measured cost of doing so pays off. Batch runs and the online
+//! runtime share that one scheduler (`core::sched`).
 //!
 //! ## Quick start
 //!
@@ -63,7 +66,7 @@
 //! * [`xpath`] — the supported XPath subset, parsing and query rewriting.
 //! * [`automaton`] — NFA/DFA construction and the pushdown transducer.
 //! * [`core`] — the PP-Transducer itself (mappings, unification, double tree,
-//!   parallel execution).
+//!   the relay scheduler, batch execution).
 //! * [`runtime`] — the online streaming runtime: pipelined stages, session
 //!   multiplexing, incremental match delivery with backpressure.
 //! * [`baselines`] — the comparison engines used by the paper's evaluation.
@@ -93,9 +96,9 @@ pub mod prelude {
         AttachError, BorrowedMatch, CollectPayloadSink, CollectSink, CollectSubscriber, Frame,
         FrameDecoder, HandshakeDecoder, HandshakeError, HandshakeReply, HandshakeRequest,
         MatchSink, MatchStream, MaterializedMatch, OnlineMatch, PayloadSink, ReactorStats, Runtime,
-        RuntimeStats, SessionHandle, SessionManager, SessionOptions, SessionReport,
-        SharedStreamHandle, StreamControl, SubscriberDelivery, SubscriberId, SubscriberReport,
-        SubscriberSink, WireFormat, WireServed, WireSink,
+        RuntimeStats, SessionHandle, SessionOptions, SessionReport, SharedStreamHandle,
+        StreamControl, SubscriberDelivery, SubscriberId, SubscriberReport, SubscriberSink,
+        WireFormat, WireServed, WireSink,
     };
     // TCP serving needs Unix; everything above does not.
     #[cfg(unix)]

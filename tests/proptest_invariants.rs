@@ -218,14 +218,12 @@ proptest! {
         let t = engine.transducer();
         let expected: Vec<(usize, u32)> =
             run_sequential(t, &doc).iter().map(|m| (m.pos, m.subquery)).collect();
-        let got = pp_xml::core::run_parallel(
+        let got = pp_xml::core::join::run_all_states(
             t,
             &doc,
-            pp_xml::core::ParallelConfig {
-                chunk_size,
-                threads: Some(2),
-                ..Default::default()
-            },
+            chunk_size,
+            pp_xml::core::EngineKind::Tree,
+            true,
         ).0;
         let got: Vec<(usize, u32)> = got.iter().map(|m| (m.pos, m.subquery)).collect();
         prop_assert_eq!(got, expected);
