@@ -10,8 +10,8 @@
 //!
 //! A [`Runtime`] owns one shared pool of transducer workers. Each query
 //! session (a compiled [`Engine`] bound to one input stream) runs the
-//! paper's split → parallel-transduce → join pipeline as three *pipelined
-//! stages* connected by bounded hand-offs:
+//! paper's split → parallel-transduce → join pipeline in three stages
+//! connected by one bounded hand-off:
 //!
 //! * the **splitter** lexes window boundaries off any [`std::io::Read`]
 //!   source with [`ppt_xmlstream::WindowSplitter`] (partial tags are carried
@@ -20,16 +20,18 @@
 //!   exact entry state, and — on a worker that would otherwise idle, where
 //!   the session's measured cost says it pays — chunks further ahead from
 //!   all states, out of order; one set of workers serves every session;
-//! * the **joiner** eagerly left-folds mappings the moment the next-in-order
-//!   chunk completes ([`ppt_core::join::PrefixFolder`]), resolves element
-//!   spans incrementally, filters predicates scope-by-scope, and emits every
-//!   match through a [`MatchSink`] (or the [`MatchStream`] iterator).
+//! * the **joiner** left-folds mappings as the next-in-order chunk completes
+//!   ([`ppt_core::join::PrefixFolder`]), resolves element spans
+//!   incrementally, filters predicates scope-by-scope, and emits every match
+//!   through a [`MatchSink`] (or the [`MatchStream`] iterator).
 //!
-//! Backpressure is credit-based: a session may only have `inflight_chunks`
-//! chunks admitted at once; the joiner returns a credit after folding (and
-//! after the sink accepted the fold's matches), so a slow consumer stalls its
-//! own splitter — memory stays bounded by `inflight_chunks × chunk size` per
-//! session no matter how long the stream runs.
+//! A session has no thread of its own: the thread that feeds it splits and
+//! folds, and only the transducing runs on the workers. Backpressure is
+//! credit-based: a session may only have `inflight_chunks` chunks admitted
+//! at once; a fold returns a credit after the sink accepted its matches, so a
+//! slow consumer stalls its own splitter — memory stays bounded by
+//! `inflight_chunks × chunk size` per session no matter how long the stream
+//! runs.
 //!
 //! ## Quick start
 //!
@@ -55,8 +57,8 @@
 //! assert_eq!(sink.matches.len(), 1);
 //! ```
 //!
-//! Or pull matches as an iterator (driver threads run the pipeline while you
-//! iterate):
+//! Or pull matches as an iterator (each `next` reads and folds until a match
+//! is ready):
 //!
 //! ```
 //! # use ppt_core::Engine;
@@ -117,14 +119,13 @@ pub use wire::{
     HandshakeRequest, WireError, WireFormat, WireSink, JSON_FRAME_TAIL,
 };
 
-use pool::{SessionCore, WorkerPool};
+use pool::WorkerPool;
 use ppt_core::Engine;
 use ppt_xmlstream::pump_reader;
-use session::{joiner_guarded, Feeder};
-use sink::{ChannelSink, Materializer};
+use session::Driver;
+use sink::Materializer;
+use std::collections::VecDeque;
 use std::io::{Read, Write};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver};
 use std::sync::Arc;
 
 /// Per-session options: identity on the wire and payload retention.
@@ -195,7 +196,6 @@ impl SessionOptions {
 pub struct RuntimeBuilder {
     workers: Option<usize>,
     inflight_chunks: Option<usize>,
-    match_buffer: Option<usize>,
 }
 
 impl RuntimeBuilder {
@@ -213,13 +213,6 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Capacity of the match channel behind [`Runtime::stream_reader`]
-    /// (default 1024).
-    pub fn match_buffer(mut self, n: usize) -> RuntimeBuilder {
-        self.match_buffer = Some(n.max(1));
-        self
-    }
-
     /// Spawns the worker pool.
     pub fn build(self) -> Runtime {
         let workers = self
@@ -229,7 +222,6 @@ impl RuntimeBuilder {
         Runtime {
             pool: Arc::new(WorkerPool::new(workers)),
             inflight_chunks: inflight,
-            match_buffer: self.match_buffer.unwrap_or(1024),
             telemetry: Arc::new(telemetry::RuntimeTelemetry::new()),
         }
     }
@@ -261,7 +253,6 @@ pub struct WireServed<W> {
 pub struct Runtime {
     pool: Arc<WorkerPool>,
     inflight_chunks: usize,
-    match_buffer: usize,
     telemetry: Arc<telemetry::RuntimeTelemetry>,
 }
 
@@ -269,7 +260,6 @@ impl std::fmt::Debug for Runtime {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Runtime")
             .field("inflight_chunks", &self.inflight_chunks)
-            .field("match_buffer", &self.match_buffer)
             .finish_non_exhaustive()
     }
 }
@@ -301,9 +291,9 @@ impl Runtime {
         &self.telemetry
     }
 
-    /// Builds a session core with this runtime's in-flight credit window —
-    /// the reactor's entry point, which drives the feeder and joiner itself
-    /// instead of going through the blocking session APIs.
+    /// Builds a session core with this runtime's in-flight credit window,
+    /// for an in-process session or the reactor (which drives the feeder and
+    /// joiner itself).
     pub(crate) fn new_session_core(
         &self,
         engine: Arc<Engine>,
@@ -345,13 +335,7 @@ impl Runtime {
         opts: &SessionOptions,
         sink: Box<dyn MatchSink>,
     ) -> SessionHandle {
-        let core = Arc::new(SessionCore::new(
-            engine,
-            self.inflight_chunks,
-            opts,
-            Arc::clone(&self.telemetry),
-        ));
-        self.spawn_session(core, sink)
+        SessionHandle::new(self.driver(engine, opts), sink)
     }
 
     /// Push-style counterpart of [`Runtime::process_materialized`]: opens a
@@ -367,40 +351,19 @@ impl Runtime {
         opts: &SessionOptions,
         sink: Box<dyn PayloadSink>,
     ) -> SessionHandle {
-        let core = Arc::new(SessionCore::new(
-            engine,
-            self.inflight_chunks,
-            opts,
-            Arc::clone(&self.telemetry),
-        ));
-        let materializer = Materializer { core: Arc::clone(&core), inner: sink };
-        self.spawn_session(core, Box::new(materializer))
+        let driver = self.driver(engine, opts);
+        let materializer = Materializer { core: Arc::clone(driver.core()), inner: sink };
+        SessionHandle::new(driver, Box::new(materializer))
     }
 
-    /// Spawns the joiner thread for an owned-sink session.
-    fn spawn_session(&self, core: Arc<SessionCore>, sink: Box<dyn MatchSink>) -> SessionHandle {
-        let joiner_core = Arc::clone(&core);
-        let joiner = std::thread::Builder::new()
-            .name("ppt-joiner".to_string())
-            .spawn(move || {
-                let mut sink = sink;
-                let result = joiner_guarded(&joiner_core, &mut *sink);
-                (result, sink)
-            })
-            // UNWRAP-OK: thread-spawn failure is process-level resource
-            // exhaustion; there is no session-scoped recovery to offer.
-            .expect("failed to spawn joiner");
-        SessionHandle {
-            feeder: Feeder::new(core),
-            pool: Arc::clone(&self.pool),
-            joiner: Some(joiner),
-        }
+    /// A new in-process session on this runtime's workers.
+    fn driver(&self, engine: Arc<Engine>, opts: &SessionOptions) -> Driver {
+        Driver::new(self.new_session_core(engine, opts), Arc::clone(&self.pool))
     }
 
     /// Processes an entire reader through one session, delivering matches to
-    /// `sink` as the stream flows. The calling thread drives the splitter;
-    /// the joiner runs on a scoped thread; the call returns once the stream
-    /// is exhausted and every match was emitted.
+    /// `sink` as the stream flows. The calling thread splits and folds; the
+    /// call returns once the stream is exhausted and every match was emitted.
     ///
     /// On a read error the pipeline is drained cleanly and the error is
     /// returned; matches emitted before the error will have reached the sink.
@@ -410,13 +373,7 @@ impl Runtime {
         reader: R,
         sink: &mut dyn MatchSink,
     ) -> std::io::Result<SessionReport> {
-        let core = Arc::new(SessionCore::new(
-            engine,
-            self.inflight_chunks,
-            &SessionOptions::new(),
-            Arc::clone(&self.telemetry),
-        ));
-        self.run_session(core, reader, sink)
+        run_session(self.driver(engine, &SessionOptions::new()), reader, sink)
     }
 
     /// [`Runtime::process_reader`] with *materialized* delivery: the session
@@ -435,14 +392,9 @@ impl Runtime {
         reader: R,
         sink: &mut dyn PayloadSink,
     ) -> std::io::Result<SessionReport> {
-        let core = Arc::new(SessionCore::new(
-            engine,
-            self.inflight_chunks,
-            opts,
-            Arc::clone(&self.telemetry),
-        ));
-        let mut materializer = Materializer { core: Arc::clone(&core), inner: sink };
-        self.run_session(core, reader, &mut materializer)
+        let session = self.driver(engine, opts);
+        let mut materializer = Materializer { core: Arc::clone(session.core()), inner: sink };
+        run_session(session, reader, &mut materializer)
     }
 
     /// Serves a stream over a wire connection: materializes every match and
@@ -482,99 +434,79 @@ impl Runtime {
         Ok(WireServed { report, writer, frames, bytes_out, write_error })
     }
 
-    /// The shared body of the reader-driven entry points: splitter on the
-    /// calling thread, joiner on a scoped thread.
-    fn run_session<R: Read>(
-        &self,
-        core: Arc<SessionCore>,
-        mut reader: R,
-        sink: &mut dyn MatchSink,
-    ) -> std::io::Result<SessionReport> {
-        let mut feeder = Feeder::new(Arc::clone(&core));
-        let pool = &self.pool;
-        std::thread::scope(|scope| {
-            let core_ref = &core;
-            let joiner = scope.spawn(move || joiner_guarded(core_ref, sink));
-            let io_result = pump_reader(&mut reader, |bytes| {
-                feeder.feed(pool, bytes);
-                // Stop reading if the session died (a stage panicked): on an
-                // unbounded source there is no EOF to save us.
-                !core_ref.is_dead()
-            });
-            // Always announce the end so the joiner terminates, error or not.
-            feeder.finish(pool);
-            let report = match joiner.join() {
-                Ok(Ok(report)) => report,
-                // Re-raise a sink/joiner panic on the caller's thread, now
-                // that the pipeline is drained. `joiner_guarded` catches
-                // panics itself, so a failed join (a panic that escaped the
-                // guard) re-raises through the same arm.
-                Ok(Err(panic)) | Err(panic) => std::panic::resume_unwind(panic),
-            };
-            io_result.map(|()| report)
-        })
-    }
-
-    /// Processes a reader through one session and returns the matches as a
-    /// blocking iterator. Two driver threads (splitter and joiner) run the
-    /// pipeline while you consume; a consumer that stops pulling
-    /// backpressures the stream through the bounded match channel.
+    /// Processes a reader through one session and returns the matches as an
+    /// iterator. There is no thread behind it: each [`Iterator::next`] reads
+    /// the source, feeds and folds on the calling thread until a match is
+    /// ready, so a consumer that stops pulling stops the stream.
     ///
     /// Call [`MatchStream::finish`] after iteration for the final report.
-    /// Dropping (or finishing) the stream early *cancels* the session: the
-    /// driver stops reading the source at the next read boundary instead of
-    /// pumping an unbounded stream to a non-existent EOF.
+    /// Dropping (or finishing) the stream early *cancels* the session: it
+    /// reads nothing more from the source instead of pumping an unbounded
+    /// stream to a non-existent EOF.
     pub fn stream_reader<R: Read + Send + 'static>(
         &self,
         engine: Arc<Engine>,
         reader: R,
     ) -> MatchStream {
-        let (tx, rx) = sync_channel(self.match_buffer);
-        let cancel = Arc::new(AtomicBool::new(false));
-        let cancel_driver = Arc::clone(&cancel);
-        let mut session = self.open_session(engine, Box::new(ChannelSink { tx }));
-        let driver = std::thread::Builder::new()
-            .name("ppt-feeder".to_string())
-            .spawn(move || -> std::io::Result<SessionReport> {
-                let mut reader = reader;
-                let io_result = pump_reader(&mut reader, |bytes| {
-                    session.feed(bytes);
-                    // Acquire pairs with the Release store in finish()/Drop:
-                    // observing the cancel flag must also make any state the
-                    // canceller wrote before it visible to this driver.
-                    !cancel_driver.load(Ordering::Acquire) && !session.is_dead()
-                });
-                // A sink panic cannot happen here (ChannelSink never panics),
-                // but a fold/filter panic would: let finish() resume it on
-                // this driver thread, where join() below surfaces it.
-                let (report, _sink) = session.finish();
-                io_result.map(|()| report)
-            })
-            // UNWRAP-OK: thread-spawn failure is process-level resource
-            // exhaustion; there is no session-scoped recovery to offer.
-            .expect("failed to spawn feeder");
-        MatchStream { rx: Some(rx), cancel, driver: Some(driver) }
+        MatchStream {
+            reader: Some(Box::new(reader)),
+            buf: vec![0; 64 << 10],
+            session: self.driver(engine, &SessionOptions::new()),
+            matches: VecDeque::new(),
+            ended: None,
+        }
     }
 }
 
-/// Blocking iterator over a session's matches (see
-/// [`Runtime::stream_reader`]).
+/// The shared body of the reader-driven entry points: the calling thread
+/// splits and folds.
+fn run_session<R: Read>(
+    mut session: Driver,
+    mut reader: R,
+    sink: &mut dyn MatchSink,
+) -> std::io::Result<SessionReport> {
+    let io_result = pump_reader(&mut reader, |bytes| {
+        session.feed(&mut *sink, bytes);
+        // Stop reading if the session died (a stage panicked): on an
+        // unbounded source there is no EOF to save us.
+        !session.core().is_dead()
+    });
+    match session.finish(sink) {
+        Ok(report) => io_result.map(|()| report),
+        // Re-raise a sink/joiner panic on the caller's thread, now that the
+        // pipeline is drained.
+        Err(panic) => std::panic::resume_unwind(panic),
+    }
+}
+
+/// How a [`MatchStream`]'s session ended: the report (or the read error that
+/// stopped it), or the payload of a fold step's panic.
+type Ended = Result<std::io::Result<SessionReport>, Box<dyn std::any::Any + Send>>;
+
+/// Pull iterator over a session's matches (see [`Runtime::stream_reader`]).
 ///
-/// Exhausting the iterator means the stream ended; dropping it (or calling
-/// [`MatchStream::finish`]) before that cancels the session — essential for
-/// `stream.take(n)`-style consumers of unbounded sources, which would
-/// otherwise wait on an EOF that never comes.
+/// Its buffer holds at most the matches folded while feeding one read of the
+/// source. Exhausting the iterator means the stream ended; dropping it (or
+/// calling [`MatchStream::finish`]) before that cancels the session —
+/// essential for `stream.take(n)`-style consumers of unbounded sources,
+/// which would otherwise wait on an EOF that never comes.
 pub struct MatchStream {
-    rx: Option<Receiver<OnlineMatch>>,
-    cancel: Arc<AtomicBool>,
-    driver: Option<std::thread::JoinHandle<std::io::Result<SessionReport>>>,
+    /// The source; `None` once the session finished.
+    reader: Option<Box<dyn Read + Send>>,
+    buf: Vec<u8>,
+    session: Driver,
+    /// Matches folded and not yet pulled.
+    matches: VecDeque<OnlineMatch>,
+    /// Set when the session finished by reaching the end of the source (or a
+    /// read error, or its death) while iterating.
+    ended: Option<Ended>,
 }
 
 impl std::fmt::Debug for MatchStream {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MatchStream")
-            .field("cancelled", &self.cancel.load(Ordering::Acquire))
-            .field("finished", &self.driver.is_none())
+            .field("reading", &self.reader.is_some())
+            .field("buffered", &self.matches.len())
             .finish_non_exhaustive()
     }
 }
@@ -583,28 +515,58 @@ impl Iterator for MatchStream {
     type Item = OnlineMatch;
 
     fn next(&mut self) -> Option<OnlineMatch> {
-        self.rx.as_ref()?.recv().ok()
+        loop {
+            if let Some(m) = self.matches.pop_front() {
+                return Some(m);
+            }
+            let reader = self.reader.as_mut()?;
+            let error = match reader.read(&mut self.buf) {
+                Ok(0) => None,
+                Ok(n) => {
+                    let matches = &mut self.matches;
+                    self.session.feed(&mut |m| matches.push_back(m), &self.buf[..n]);
+                    if !self.session.core().is_dead() {
+                        continue;
+                    }
+                    None
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) => Some(e),
+            };
+            // The source ended, failed or the session died: fold what was
+            // read, and keep the outcome for `finish`.
+            self.reader = None;
+            let matches = &mut self.matches;
+            let ended = self.session.finish(&mut |m| matches.push_back(m));
+            self.ended = Some(ended.map(|report| error.map_or(Ok(report), Err)));
+        }
+    }
+}
+
+/// The sink a cancelled [`MatchStream`] drains into: every match it folds
+/// counts as dropped.
+struct Discard;
+
+impl MatchSink for Discard {
+    fn on_match(&mut self, _m: OnlineMatch) -> bool {
+        false
     }
 }
 
 impl MatchStream {
-    /// Stops reading the source (if it hasn't ended already), waits for the
-    /// in-flight pipeline to drain, and returns the final report. Matches
-    /// not yet consumed are discarded; after a cancellation the report
-    /// covers the prefix that was processed.
+    /// Stops reading the source (if it hasn't ended already), folds what was
+    /// read, and returns the final report. Matches not yet pulled are
+    /// discarded; after a cancellation the report covers the prefix that was
+    /// read.
     pub fn finish(mut self) -> std::io::Result<SessionReport> {
-        // UNWRAP-OK: `finish` consumes `self`, and `Drop` (the only other
-        // taker) has not run yet — the driver is always present here.
-        let driver = self.driver.take().expect("finish called once");
-        // Release pairs with the driver's Acquire load of the cancel flag.
-        self.cancel.store(true, Ordering::Release);
-        // Dropping the receiver lets the sink's sends fail fast instead of
-        // blocking on a full channel nobody reads.
-        drop(self.rx.take());
-        match driver.join() {
+        let ended = match self.reader.take() {
+            Some(_) => self.session.finish(&mut Discard).map(Ok),
+            // UNWRAP-OK: the reader is taken only where `ended` is set.
+            None => self.ended.take().expect("a finished stream kept its outcome"),
+        };
+        match ended {
             Ok(result) => result,
-            // A fold/filter panic was resumed on the driver thread; re-raise
-            // the original payload here rather than a generic message.
+            // A fold/filter panic: re-raise the original payload here.
             Err(panic) => std::panic::resume_unwind(panic),
         }
     }
@@ -612,11 +574,8 @@ impl MatchStream {
 
 impl Drop for MatchStream {
     fn drop(&mut self) {
-        // Release pairs with the driver's Acquire load of the cancel flag.
-        self.cancel.store(true, Ordering::Release);
-        drop(self.rx.take());
-        if let Some(driver) = self.driver.take() {
-            let _ = driver.join();
+        if self.reader.take().is_some() {
+            let _ = self.session.finish(&mut Discard);
         }
     }
 }

@@ -141,8 +141,9 @@ struct Wake {
 
 /// Progress callbacks a *non-blocking* session driver (the reactor)
 /// registers to learn about pipeline progress without parking a thread on
-/// the session's condvars. The blocking entry points never set these — the
-/// condvars alone carry their wakeups.
+/// the session's mailbox condvar. An in-process session never sets these:
+/// the thread that feeds it folds, parking on that condvar only while every
+/// credit is in flight.
 ///
 /// Implementations must be cheap and must not block: the hooks fire from
 /// worker threads (after a chunk delivery) and from the joiner (after a
@@ -181,7 +182,6 @@ pub(crate) struct SessionCore {
     /// In-flight chunk credits: the feeder takes one per submitted chunk, the
     /// joiner returns it after folding. Zero credits = backpressure.
     pub credits: Mutex<usize>,
-    pub credits_cv: Condvar,
     /// Set when a worker panicked on this session's data: the session is
     /// dead, the feeder must stop submitting and the joiner must bail out.
     pub dead: AtomicBool,
@@ -227,7 +227,6 @@ impl SessionCore {
             mailbox: Mutex::new(mailbox),
             mailbox_cv: Condvar::new(),
             credits: Mutex::new(inflight_chunks.max(1)),
-            credits_cv: Condvar::new(),
             dead: AtomicBool::new(false),
             stream_id: opts.stream_id,
             track_open_path: opts.track_open_path,
@@ -262,42 +261,9 @@ impl SessionCore {
         self.dead.load(Ordering::SeqCst)
     }
 
-    /// Blocks until an in-flight credit is available and takes it; returns
-    /// `false` (without taking a credit) when the session died while
-    /// waiting. Time spent blocked is recorded as backpressure.
-    pub fn acquire_credit(&self) -> bool {
-        let (mut credits, mut poisoned) = lock_recover(&self.credits);
-        if !poisoned && *credits == 0 {
-            let waited = Instant::now();
-            while *credits == 0 && !self.is_dead() {
-                let (guard, p) = wait_recover(&self.credits_cv, credits);
-                credits = guard;
-                if p {
-                    poisoned = true;
-                    break;
-                }
-            }
-            // RELAXED-OK: monotonic stat accumulator; read only by
-            // quiescent snapshots, orders nothing.
-            self.counters
-                .backpressure_nanos
-                .fetch_add(waited.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        }
-        if poisoned {
-            drop(credits);
-            self.poison("credit lock poisoned by a panicking pipeline stage".to_string());
-            return false;
-        }
-        if self.is_dead() {
-            return false;
-        }
-        *credits -= 1;
-        true
-    }
-
-    /// Non-blocking [`SessionCore::acquire_credit`]: takes a credit if one is
-    /// available right now, `false` otherwise (backpressure — retry after the
-    /// next [`SessionEvents::on_credit`]) or when the session died.
+    /// Takes an in-flight credit if one is available right now; `false`
+    /// otherwise (backpressure — retry after a fold returned one) or when the
+    /// session died.
     pub fn try_acquire_credit(&self) -> bool {
         let (mut credits, poisoned) = lock_recover(&self.credits);
         if poisoned {
@@ -317,7 +283,6 @@ impl SessionCore {
         let (mut credits, poisoned) = lock_recover(&self.credits);
         *credits += 1;
         drop(credits);
-        self.credits_cv.notify_one();
         if poisoned {
             self.poison("credit lock poisoned by a panicking pipeline stage".to_string());
         }
@@ -409,7 +374,6 @@ impl SessionCore {
         self.dead.store(true, Ordering::SeqCst);
         drop(mb);
         self.mailbox_cv.notify_all();
-        self.credits_cv.notify_all();
         // A non-blocking driver must observe the death on both sides: the
         // joiner to finalize, the feeder to discard its pending chunks.
         self.fire_deliverable();
@@ -845,12 +809,12 @@ mod tests {
         poison_mutex(&core.credits);
         // The old `.expect("credits poisoned")` panicked here, taking the
         // calling thread (a feeder — possibly the user's thread) with it.
-        assert!(!core.acquire_credit());
+        assert!(!core.try_acquire_credit());
         assert!(core.is_dead());
         assert!(core.poison_message().unwrap().contains("poisoned"));
         // Further traffic on the dead session is a no-op, not a panic.
         core.release_credit();
-        assert!(!core.acquire_credit());
+        assert!(!core.try_acquire_credit());
     }
 
     #[test]

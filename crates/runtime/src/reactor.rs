@@ -23,13 +23,12 @@
 //!
 //! Design points:
 //!
-//! * **No blocking anywhere on the ingest thread.** The `Feeder` grew a
-//!   non-blocking discipline: a chunk that cannot get an in-flight credit
-//!   stays pending and the connection's `POLLIN` interest is dropped — the
-//!   kernel's socket buffer, and eventually the client, absorb the
-//!   backpressure. A credit return fires `SessionEvents::on_credit`; the
-//!   fold that returned it wakes the loop through an `eventfd(2)`, and the
-//!   read re-arms.
+//! * **No blocking anywhere on the ingest thread.** The `Feeder` never
+//!   blocks: a chunk that cannot get an in-flight credit stays pending and
+//!   the connection's `POLLIN` interest is dropped — the kernel's socket
+//!   buffer, and eventually the client, absorb the backpressure. A credit
+//!   return fires `SessionEvents::on_credit`; the fold that returned it
+//!   wakes the loop through an `eventfd(2)`, and the read re-arms.
 //! * **No thread for the join side at all.** The joiner state machine
 //!   (`JoinerState`) lives in a `JoinTask`, a fold job on the runtime's one
 //!   worker pool: a delivered chunk queues it, and a worker runs
@@ -782,7 +781,7 @@ fn enqueue_task(task: &Arc<JoinTask>) {
 
 impl Fold for JoinTask {
     /// Runs fold steps until the mailbox runs dry, the outbox fills or the
-    /// stream ends; a panic in the fold poisons the session, as `joiner_guarded` does.
+    /// stream ends; a panic in the fold poisons the session, as `Driver::guarded` does.
     fn run(self: Arc<Self>) {
         // Consume the queue mark *before* running: progress made meanwhile
         // marks it `RERUN`. The mailbox lock publishes the chunks it folds.
@@ -1418,7 +1417,7 @@ impl Reactor {
         let Phase::Handshaking { decoder, .. } = old else { unreachable!("checked by caller") };
         let remainder = decoder.take_remainder();
         if !remainder.is_empty() {
-            feeder.feed_nonblocking(runtime.worker_pool(), &remainder);
+            feeder.feed(runtime.worker_pool(), &remainder);
         }
         conn.session = Some(ConnSession { feeder, task, control, done });
     }
@@ -1506,13 +1505,13 @@ impl Reactor {
                 // total is announced once the pending queue drains.
                 conn.last_progress = Instant::now();
                 session.feeder.request_finish();
-                session.feeder.pump_nonblocking(pool);
+                session.feeder.pump(pool);
                 conn.phase = Phase::Draining;
                 unpublish_stream(&self.shared, conn);
             }
             Ok(n) => {
                 conn.last_progress = Instant::now();
-                session.feeder.feed_nonblocking(pool, &buf[..n]);
+                session.feeder.feed(pool, &buf[..n]);
             }
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
@@ -1523,7 +1522,7 @@ impl Reactor {
                 // failure in the connection's report.
                 conn.read_error = Some(e.to_string());
                 session.feeder.request_finish();
-                session.feeder.pump_nonblocking(pool);
+                session.feeder.pump(pool);
                 conn.phase = Phase::Draining;
                 unpublish_stream(&self.shared, conn);
             }
@@ -1671,7 +1670,7 @@ impl Reactor {
             let Some(conn) = self.conns[slot].as_mut() else { continue };
             if let Some(session) = conn.session.as_mut() {
                 if conn.signal.feed_ready.swap(false, Ordering::AcqRel) {
-                    session.feeder.pump_nonblocking(self.shared.runtime.worker_pool());
+                    session.feeder.pump(self.shared.runtime.worker_pool());
                 }
                 if conn.signal.done.load(Ordering::Acquire)
                     && matches!(conn.phase, Phase::Streaming)

@@ -14,9 +14,9 @@
 //!
 //! * the **resolve frontier** — after every fold the joiner releases windows
 //!   that lie entirely below the earliest offset any unresolved or buffered
-//!   match could still need (see `joiner_loop`); on streams whose matches
-//!   resolve promptly the ring holds only a handful of windows regardless of
-//!   the budget; and
+//!   match could still need (see `JoinerState::fold_one`); on streams
+//!   whose matches resolve promptly the ring holds only a handful of windows
+//!   regardless of the budget; and
 //! * the **byte budget** — a hard cap for adversarial streams (one element
 //!   spanning gigabytes would otherwise pin every window): when retained
 //!   bytes exceed the budget the oldest windows are evicted anyway, and any

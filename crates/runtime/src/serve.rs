@@ -31,8 +31,8 @@
 //! Design points, in the spirit of the paper's serving discipline:
 //!
 //! * **Admission is credit-gated** (`Gate` mirrors
-//!   `SessionCore::acquire_credit`): at most `max_connections` sessions run
-//!   at once; while no slot is free the listener leaves the poll set and
+//!   `SessionCore::try_acquire_credit`): at most `max_connections` sessions
+//!   run at once; while no slot is free the listener leaves the poll set and
 //!   further clients wait in the listener backlog.
 //! * **A malformed or half-closed connection poisons one session, never the
 //!   process.** Handshake failures are answered with a structured

@@ -1,5 +1,5 @@
 //! Session orchestration: the feeder (splitter stage), the joiner stage, and
-//! the per-session handles.
+//! the in-process session driver and handle.
 //!
 //! A session's dataflow is
 //!
@@ -10,24 +10,28 @@
 //!                 MatchSink ◄── Joiner (prefix fold, span resolve, filter)
 //! ```
 //!
-//! The feeder runs on the thread that pushes bytes (the caller's, or a
-//! spawned driver for the iterator API); the joiner runs on its own thread;
-//! the workers are shared across sessions. Every stage is connected by a
-//! bounded hand-off — the in-flight credit scheme — so a slow sink stalls the
-//! feeder rather than growing queues.
+//! The workers are shared across sessions; a session has no thread of its
+//! own. An in-process session ([`Driver`]) folds on the thread that feeds
+//! it; a served session folds as a job on the workers (the reactor's
+//! `JoinTask`). The stages are connected by one bounded hand-off — the
+//! in-flight credit scheme — so a slow sink stalls the feeding side rather
+//! than growing queues.
 
 use crate::filters::FilterBank;
-use crate::pool::{EngineSwap, Job, SessionCore, WorkerPool};
+use crate::pool::{EngineSwap, Job, SessionCore, TryTake, WorkerPool};
 use crate::resolver::{SpanEvent, SpanResolver};
 use crate::sink::{MatchSink, OnlineMatch};
 use crate::stats::RuntimeStats;
 use ppt_core::chunk::ChunkOutput;
 use ppt_core::join::PrefixFolder;
 use ppt_xmlstream::{split_chunks, SharedWindow, WindowSplitter};
+use std::any::Any;
 use std::collections::VecDeque;
 use std::ops::Range;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Final accounting of one completed session.
 #[derive(Debug, Clone, Default)]
@@ -98,18 +102,13 @@ impl TagPathTracker {
 
 /// The splitter stage: windows the byte stream and submits chunk jobs.
 ///
-/// Two driving disciplines share this struct:
-///
-/// * **Blocking** ([`Feeder::feed`]/[`Feeder::finish`]) — the classic
-///   reader-driven entry points: a chunk that cannot get a credit parks the
-///   calling thread on the credit condvar.
-/// * **Non-blocking** ([`Feeder::feed_nonblocking`],
-///   [`Feeder::request_finish`], [`Feeder::pump_nonblocking`]) — the
-///   reactor's discipline: chunks that cannot get a credit stay in a pending
-///   queue, the call returns `Blocked`, and the driver retries after the
-///   joiner returns a credit ([`crate::pool::SessionEvents::on_credit`]).
-///   A blocked feeder is the signal to stop reading the connection — that is
-///   how socket backpressure propagates without wedging the reactor thread.
+/// It never blocks: chunks that cannot get a credit stay in a pending queue,
+/// the call returns `Blocked`, and the driver pumps again once a fold
+/// returned a credit. The in-process [`Driver`] folds the relay's head
+/// itself to get one; the reactor waits for
+/// [`crate::pool::SessionEvents::on_credit`] and stops reading the
+/// connection meanwhile — that is how socket backpressure propagates without
+/// wedging the reactor thread.
 pub(crate) struct Feeder {
     core: Arc<SessionCore>,
     splitter: WindowSplitter,
@@ -180,31 +179,18 @@ impl Feeder {
         self.engine = engine;
     }
 
-    /// Pushes stream bytes, submitting every window that completes. May block
-    /// on backpressure. Bytes fed after the session died are dropped.
-    pub fn feed(&mut self, pool: &WorkerPool, bytes: &[u8]) {
+    /// Windows and enqueues stream bytes, then submits as many chunks as
+    /// there are credits available right now. Bytes fed after the session
+    /// died are dropped.
+    pub fn feed(&mut self, pool: &WorkerPool, bytes: &[u8]) -> FeedProgress {
         self.push_bytes(bytes);
-        self.pump(pool, true);
+        self.pump(pool)
     }
 
-    /// Flushes the tail window and announces the final chunk count to the
-    /// joiner. Idempotent.
-    pub fn finish(&mut self, pool: &WorkerPool) {
-        self.request_finish();
-        self.pump(pool, true);
-    }
-
-    /// Non-blocking [`Feeder::feed`]: windows and enqueues the bytes, then
-    /// submits as many chunks as there are credits available right now.
-    pub fn feed_nonblocking(&mut self, pool: &WorkerPool, bytes: &[u8]) -> FeedProgress {
-        self.push_bytes(bytes);
-        self.pump(pool, false)
-    }
-
-    /// Declares end of input without blocking: the splitter's tail window is
-    /// flushed into the pending queue. The final chunk total is announced by
-    /// the pump once the queue drains — keep calling
-    /// [`Feeder::pump_nonblocking`] until it reports `Drained`.
+    /// Declares end of input: the splitter's tail window is flushed into the
+    /// pending queue. The final chunk total is announced by the pump once the
+    /// queue drains — keep calling [`Feeder::pump`] until it reports
+    /// `Drained`.
     pub fn request_finish(&mut self) {
         if self.finish_requested {
             return;
@@ -217,14 +203,8 @@ impl Feeder {
         }
     }
 
-    /// Retries pending submissions without blocking (call after a credit
-    /// came back).
-    pub fn pump_nonblocking(&mut self, pool: &WorkerPool) -> FeedProgress {
-        self.pump(pool, false)
-    }
-
-    /// `true` while chunks are queued waiting for credits — the non-blocking
-    /// driver must not read more input.
+    /// `true` while chunks are queued waiting for credits: more input must
+    /// wait until a fold returned one.
     pub fn is_blocked(&self) -> bool {
         !self.pending.is_empty() && !self.core.is_dead()
     }
@@ -236,7 +216,7 @@ impl Feeder {
             self.pending.clear();
             return;
         }
-        let split_started = std::time::Instant::now();
+        let split_started = Instant::now();
         self.splitter.push(bytes);
         while let Some(window) = self.splitter.pop_shared() {
             self.enqueue_window(window);
@@ -295,25 +275,22 @@ impl Feeder {
         true
     }
 
-    /// Submits pending chunks in order, one credit each. `blocking` parks on
-    /// the credit condvar; non-blocking stops at the first missing credit.
-    /// Announces the chunk total once the stream ended and the queue drained.
-    fn pump(&mut self, pool: &WorkerPool, blocking: bool) -> FeedProgress {
+    /// Submits pending chunks in order, one credit each, stopping at the
+    /// first missing credit (call again after a credit came back). Announces
+    /// the chunk total once the stream ended and the queue drained.
+    pub fn pump(&mut self, pool: &WorkerPool) -> FeedProgress {
         while !self.pending.is_empty() {
             if self.core.is_dead() {
                 self.pending.clear();
                 break;
             }
-            // Backpressure: wait for the joiner to return a credit before
-            // admitting another chunk into the pipeline.
-            let admitted =
-                if blocking { self.core.acquire_credit() } else { self.core.try_acquire_credit() };
-            if !admitted {
+            // Backpressure: admit another chunk into the pipeline only on a
+            // credit a fold returned.
+            if !self.core.try_acquire_credit() {
                 if self.core.is_dead() {
                     self.pending.clear();
                     break;
                 }
-                debug_assert!(!blocking, "blocking acquire fails only on death");
                 return FeedProgress::Blocked;
             }
             // UNWRAP-OK: the enclosing loop only runs while `pending` is
@@ -345,26 +322,10 @@ impl Feeder {
     }
 }
 
-/// Runs [`joiner_loop`] with a panic guard: a panic anywhere in the joiner
-/// stage — most likely a [`MatchSink`] implementation — poisons the session
-/// first, so the feeder (possibly blocked on credits) and the workers wind
-/// down instead of deadlocking, and the payload is handed back for the
-/// session's owner thread to resume.
-pub(crate) fn joiner_guarded(
-    core: &SessionCore,
-    sink: &mut dyn MatchSink,
-) -> Result<SessionReport, Box<dyn std::any::Any + Send>> {
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| joiner_loop(core, sink)));
-    if let Err(panic) = &result {
-        joiner_panicked(core, &**panic);
-    }
-    result
-}
-
-/// A joiner stage panicked (here or in the reactor's fold job): the session
-/// dies. A panic that unwound out of a sink delivery leaves `delivering`
-/// set: that match was handed over but never completed — count it as
-/// dropped, not delivered.
+/// A joiner stage panicked (in a [`Driver`] or the reactor's fold job): the
+/// session dies. A panic that unwound out of a sink delivery leaves
+/// `delivering` set: that match was handed over but never completed — count
+/// it as dropped, not delivered.
 pub(crate) fn joiner_panicked(core: &SessionCore, panic: &(dyn std::any::Any + Send)) {
     // AcqRel: the swap decides *which thread* accounts the in-flight
     // delivery as dropped (see the same protocol in reactor::abort); the
@@ -379,14 +340,12 @@ pub(crate) fn joiner_panicked(core: &SessionCore, panic: &(dyn std::any::Any + S
 /// The joiner stage as an explicit state machine: folds chunk outputs in
 /// order, resolves spans, filters, and pushes matches into the sink.
 ///
-/// Two drivers share it:
+/// Two drivers share it, neither with a thread of its own:
 ///
-/// * [`joiner_loop`] parks on the mailbox condvar between chunks — the
-///   classic one-thread-per-session joiner;
-/// * the reactor's fold job calls [`JoinerState::fold_one`] /
-///   [`JoinerState::finalize`] on the runtime's worker pool, polling the
-///   mailbox with [`SessionCore::try_take`] — hundreds of sessions, no
-///   thread of their own, nothing ever blocked.
+/// * the in-process [`Driver`] folds on the thread that feeds the session,
+///   parking on the mailbox condvar only while every credit is in flight;
+/// * the reactor's fold job runs on the runtime's worker pool, polling the
+///   mailbox with [`SessionCore::try_take`] — nothing ever blocked.
 pub(crate) struct JoinerState {
     /// The engine currently folding the stream. Starts as the session's
     /// compile-time engine; replaced when an [`EngineSwap`] boundary is
@@ -440,7 +399,7 @@ impl JoinerState {
         if let Some(swap) = core.take_swap_through(self.seq) {
             self.apply_swap(swap);
         }
-        let fold_started = std::time::Instant::now();
+        let fold_started = Instant::now();
         let folded_upto = out.end_offset;
         let mut delta = self.folder.fold(out.mapping, out.depth_delta, out.ladder);
         let matches = delta.take_resolved_matches();
@@ -485,7 +444,7 @@ impl JoinerState {
     /// frees the retained windows and takes the final report. Call exactly
     /// once, after the mailbox reported the stream ended or the session died.
     pub fn finalize(&mut self, core: &SessionCore, sink: &mut dyn MatchSink) -> SessionReport {
-        let finalize_started = std::time::Instant::now();
+        let finalize_started = Instant::now();
         // A swap scheduled at the very end of the stream (a subscriber that
         // attached after the last byte) never sees a chunk fold; apply it
         // here so the final report's per-query counts cover every query the
@@ -534,7 +493,7 @@ impl JoinerState {
         let mut emit = |m: OnlineMatch| {
             // `delivering` flags the window during which the match is in the
             // sink's hands: if the sink *panics* there, the panic guard
-            // converts the flag into a dropped count (see `joiner_guarded`),
+            // converts the flag into a dropped count (see `joiner_panicked`),
             // so `matches` only ever counts completed deliveries — without
             // live stats transiently reporting a phantom drop on the healthy
             // path.
@@ -560,14 +519,97 @@ impl JoinerState {
     }
 }
 
-/// The joiner stage driven to completion on the calling thread, parking on
-/// the mailbox condvar between chunks.
-pub(crate) fn joiner_loop(core: &SessionCore, sink: &mut dyn MatchSink) -> SessionReport {
-    let mut state = JoinerState::new(core);
-    while let Some(out) = core.wait_for(state.next_seq()) {
-        state.fold_one(core, sink, out);
+/// An in-process session, driven by the thread that feeds it: the caller
+/// splits, the workers transduce, and the caller folds what they delivered.
+/// A sink that blocks blocks only its own caller — that is the backpressure.
+/// Each call takes the sink, so the owner decides whether it is owned
+/// ([`SessionHandle`]) or borrowed (the reader-driven entry points).
+pub(crate) struct Driver {
+    pub(crate) feeder: Feeder,
+    joiner: JoinerState,
+    pool: Arc<WorkerPool>,
+    /// The first panic a fold step raised (most likely in the sink), kept for
+    /// the owner to resume once the pipeline is drained. Nothing folds after
+    /// it: the session is poisoned.
+    panic: Option<Box<dyn Any + Send>>,
+}
+
+impl Driver {
+    pub fn new(core: Arc<SessionCore>, pool: Arc<WorkerPool>) -> Driver {
+        Driver { joiner: JoinerState::new(&core), feeder: Feeder::new(core), pool, panic: None }
     }
-    state.finalize(core, sink)
+
+    pub fn core(&self) -> &Arc<SessionCore> {
+        self.feeder.core()
+    }
+
+    /// Pushes stream bytes and folds every output already delivered. While
+    /// chunks wait for credits it folds the relay's head once delivered and
+    /// submits again, so it returns with every chunk cut so far submitted and
+    /// at most `inflight_chunks` in flight.
+    pub fn feed(&mut self, sink: &mut dyn MatchSink, bytes: &[u8]) {
+        self.feeder.feed(&self.pool, bytes);
+        while let TryTake::Ready(out) = self.core().try_take(self.joiner.next_seq()) {
+            self.guarded(|joiner, core| joiner.fold_one(core, sink, out));
+        }
+        while self.feeder.pump(&self.pool) == FeedProgress::Blocked {
+            self.fold_next(sink);
+        }
+    }
+
+    /// Ends the stream: flushes the tail, folds every chunk still in flight
+    /// and finalizes. A fold step's panic comes back as `Err` once the
+    /// pipeline is drained. Call once.
+    pub fn finish(
+        &mut self,
+        sink: &mut dyn MatchSink,
+    ) -> Result<SessionReport, Box<dyn Any + Send>> {
+        self.feeder.request_finish();
+        loop {
+            self.feeder.pump(&self.pool);
+            if !self.fold_next(sink) {
+                break;
+            }
+        }
+        match self.guarded(|joiner, core| joiner.finalize(core, sink)) {
+            Some(report) => Ok(report),
+            // UNWRAP-OK: `guarded` yields `None` only with a panic kept.
+            None => Err(self.panic.take().expect("a fold step panicked")),
+        }
+    }
+
+    /// Waits for the relay's head and folds it; `false` once the stream
+    /// ended or the session died. A wait while chunks are pending on credits
+    /// is backpressure.
+    fn fold_next(&mut self, sink: &mut dyn MatchSink) -> bool {
+        let (blocked, waited) = (self.feeder.is_blocked(), Instant::now());
+        let Some(out) = self.core().wait_for(self.joiner.next_seq()) else { return false };
+        self.guarded(|joiner, core| joiner.fold_one(core, sink, out));
+        if blocked {
+            let nanos = waited.elapsed().as_nanos() as u64;
+            // RELAXED-OK: monotonic stat accumulator; orders nothing.
+            self.core().counters.backpressure_nanos.fetch_add(nanos, Ordering::Relaxed);
+        }
+        true
+    }
+
+    /// Runs one joiner step unless an earlier one panicked. A panic — most
+    /// likely in the sink — poisons the session, so the workers wind down,
+    /// and its payload is kept for the owner.
+    fn guarded<T>(&mut self, step: impl FnOnce(&mut JoinerState, &SessionCore) -> T) -> Option<T> {
+        if self.panic.is_some() {
+            return None;
+        }
+        let (joiner, core) = (&mut self.joiner, &**self.feeder.core());
+        match std::panic::catch_unwind(AssertUnwindSafe(|| step(joiner, core))) {
+            Ok(value) => Some(value),
+            Err(panic) => {
+                joiner_panicked(core, &*panic);
+                self.panic = Some(panic);
+                None
+            }
+        }
+    }
 }
 
 /// A live query session with an owned sink (push API).
@@ -575,63 +617,58 @@ pub(crate) fn joiner_loop(core: &SessionCore, sink: &mut dyn MatchSink) -> Sessi
 /// Obtained from [`crate::Runtime::open_session`]. Feed stream bytes with
 /// [`SessionHandle::feed`] — arbitrary read sizes, no alignment required —
 /// and call [`SessionHandle::finish`] to flush, drain the pipeline and get
-/// the [`SessionReport`] plus the sink back.
+/// the [`SessionReport`] plus the sink back. The session folds on the thread
+/// that calls these; it has no thread of its own.
 pub struct SessionHandle {
-    pub(crate) feeder: Feeder,
-    pub(crate) pool: Arc<WorkerPool>,
-    #[allow(clippy::type_complexity)]
-    pub(crate) joiner: Option<
-        std::thread::JoinHandle<(
-            Result<SessionReport, Box<dyn std::any::Any + Send>>,
-            Box<dyn MatchSink>,
-        )>,
-    >,
+    pub(crate) driver: Driver,
+    /// `None` once finished.
+    sink: Option<Box<dyn MatchSink>>,
 }
 
 impl std::fmt::Debug for SessionHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SessionHandle")
-            .field("finish_pending", &self.joiner.is_some())
+            .field("finish_pending", &self.sink.is_some())
             .finish_non_exhaustive()
     }
 }
 
 impl SessionHandle {
-    /// Pushes stream bytes into the pipeline. Blocks while backpressured.
-    /// Bytes fed after the session died (see [`SessionReport::error`]) are
-    /// dropped.
+    pub(crate) fn new(driver: Driver, sink: Box<dyn MatchSink>) -> SessionHandle {
+        SessionHandle { driver, sink: Some(sink) }
+    }
+
+    /// Pushes stream bytes into the pipeline and folds what the workers
+    /// delivered, delivering matches to the sink. Blocks while
+    /// backpressured. Bytes fed after the session died (see
+    /// [`SessionReport::error`]) are dropped.
     pub fn feed(&mut self, bytes: &[u8]) {
-        self.feeder.feed(&self.pool, bytes);
+        if let Some(sink) = &mut self.sink {
+            self.driver.feed(&mut **sink, bytes);
+        }
     }
 
     /// `true` once the session aborted (a pipeline stage panicked); callers
     /// driving a long-lived source should stop feeding.
     pub fn is_dead(&self) -> bool {
-        self.feeder.core().is_dead()
+        self.driver.core().is_dead()
     }
 
     /// A live snapshot of the session's statistics.
     pub fn stats(&self) -> RuntimeStats {
-        self.feeder.core().counters.snapshot()
+        self.driver.core().counters.snapshot()
     }
 
-    /// Ends the stream: flushes the tail, waits for the joiner to drain every
-    /// in-flight chunk, and returns the final report together with the sink.
+    /// Ends the stream: flushes the tail, folds every in-flight chunk, and
+    /// returns the final report together with the sink.
     ///
     /// A panic raised inside the joiner stage (most likely by the sink) is
-    /// resumed here, on the session owner's thread.
+    /// resumed here, once the pipeline is drained.
     pub fn finish(mut self) -> (SessionReport, Box<dyn MatchSink>) {
-        self.feeder.finish(&self.pool);
         // UNWRAP-OK: `finish` consumes `self`, and `Drop` (the only other
-        // taker) has not run yet — the joiner handle is always present.
-        let joiner = self.joiner.take().expect("finish called once");
-        let (result, sink) = match joiner.join() {
-            Ok(pair) => pair,
-            // `joiner_guarded` catches sink panics; a failed join means a
-            // panic escaped the guard — re-raise it here, like any other.
-            Err(panic) => std::panic::resume_unwind(panic),
-        };
-        match result {
+        // taker) has not run yet — the sink is always present.
+        let mut sink = self.sink.take().expect("finish called once");
+        match self.driver.finish(&mut *sink) {
             Ok(report) => (report, sink),
             Err(panic) => std::panic::resume_unwind(panic),
         }
@@ -640,10 +677,10 @@ impl SessionHandle {
 
 impl Drop for SessionHandle {
     fn drop(&mut self) {
-        // Unblock the joiner if the handle is dropped without finish().
-        if let Some(joiner) = self.joiner.take() {
-            self.feeder.finish(&self.pool);
-            let _ = joiner.join();
+        // A handle dropped without finish() still ends its stream; a panic
+        // the fold raised is swallowed.
+        if let Some(mut sink) = self.sink.take() {
+            let _ = self.driver.finish(&mut *sink);
         }
     }
 }

@@ -2,16 +2,16 @@
 //! [`PayloadSink`] variant, and ready-made sinks.
 //!
 //! The joiner stage calls the sink *synchronously*: a sink that blocks (a
-//! full channel, a slow socket) stalls the joiner, which stops returning
-//! in-flight credits, which stalls the splitter, which stops reading the
-//! source — backpressure propagates all the way to the input with bounded
-//! buffering at every stage.
+//! slow socket) stalls the fold, which stops returning in-flight credits,
+//! which stalls the splitter, which stops reading the source — backpressure
+//! propagates all the way to the input with bounded buffering at every
+//! stage. An in-process session folds on the thread that feeds it, so a
+//! blocking sink blocks only its own caller.
 
 use crate::pool::SessionCore;
 use ppt_xmlstream::SharedWindow;
 use std::ops::Range;
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::SyncSender;
 use std::sync::Arc;
 
 /// One match of a user query, emitted while the stream is still flowing.
@@ -83,21 +83,6 @@ impl MatchSink for CollectSink {
     fn on_match(&mut self, m: OnlineMatch) -> bool {
         self.matches.push(m);
         true
-    }
-}
-
-/// A sink that forwards matches into a bounded channel (used by the iterator
-/// API). A send on a full channel blocks — that is the backpressure path. If
-/// the receiver is gone the match is dropped so the pipeline can drain and
-/// shut down instead of wedging.
-#[derive(Debug)]
-pub(crate) struct ChannelSink {
-    pub tx: SyncSender<OnlineMatch>,
-}
-
-impl MatchSink for ChannelSink {
-    fn on_match(&mut self, m: OnlineMatch) -> bool {
-        self.tx.send(m).is_ok()
     }
 }
 

@@ -106,11 +106,12 @@ impl std::error::Error for AttachError {}
 
 /// Receives one subscriber's share of a stream's matches.
 ///
-/// Called from the stream's joiner thread with the shared-stream state lock
-/// held: implementations must be fast and **must not block** — a slow
-/// consumer returns [`SubscriberDelivery::Dropped`] (typically after a
-/// bounded queue filled) instead of stalling the pipeline that every other
-/// subscriber shares. Panics are caught and kill only this subscriber.
+/// Called from the thread folding the stream (its feeding thread in
+/// process, a worker when served) with the shared-stream state lock held:
+/// implementations must be fast and **must not block** — a slow consumer
+/// returns [`SubscriberDelivery::Dropped`] (typically after a bounded queue
+/// filled) instead of stalling the pipeline that every other subscriber
+/// shares. Panics are caught and kill only this subscriber.
 pub trait SubscriberSink: Send {
     /// One match addressed to this subscriber. `m.m.query` is the
     /// subscriber's *local* query id; `m.payload` borrows retained stream
@@ -456,7 +457,7 @@ impl SharedStreamHandle {
     /// attacher's effective position in the stream. Blocks on backpressure.
     pub fn feed(&mut self, bytes: &[u8]) {
         if let Some(engine) = self.control.take_pending_engine() {
-            self.session.feeder.swap_engine(engine);
+            self.session.driver.feeder.swap_engine(engine);
         }
         self.session.feed(bytes);
     }
@@ -475,7 +476,7 @@ impl SharedStreamHandle {
         // knows its queries: land the trailing swap before the pipeline
         // drains.
         if let Some(engine) = control.take_pending_engine() {
-            session.feeder.swap_engine(engine);
+            session.driver.feeder.swap_engine(engine);
         }
         let (report, _sink) = session.finish();
         control.finish_stream(&report);

@@ -254,12 +254,12 @@ fn slow_iterator_consumer_is_equivalent_backpressure() {
             .build()
             .unwrap(),
     );
-    let runtime = Runtime::builder().workers(2).inflight_chunks(2).match_buffer(8).build();
+    let runtime = Runtime::builder().workers(2).inflight_chunks(2).build();
     let stream = runtime.stream_reader(Arc::clone(&engine), std::io::Cursor::new(doc.clone()));
     let mut count = 0usize;
     for _m in stream {
-        // A consumer that pulls slowly: the tiny match buffer plus the
-        // credit scheme throttles everything upstream.
+        // A consumer that pulls slowly: nothing is read past what it
+        // pulled, and the credit scheme throttles everything upstream.
         std::thread::sleep(Duration::from_micros(200));
         count += 1;
     }

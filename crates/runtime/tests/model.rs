@@ -587,8 +587,9 @@ fn gate_double_release_is_caught() {
 // Model: the delivering-flag drop-accounting race (session.rs / reactor.rs)
 // ---------------------------------------------------------------------------
 //
-// Mirrors `joiner_guarded` (session.rs) racing the joiner panic path
-// (reactor.rs, `JoinTask`'s `Fold::run`): both sides
+// Mirrors `joiner_panicked` (session.rs), which an in-process
+// `Driver::guarded` and the reactor's fold panic path (reactor.rs,
+// `JoinTask`'s `Fold::run`) call: two racers both
 // `delivering.swap(false, AcqRel)` and only the side that saw `true` counts
 // the in-flight delivery as dropped. Exactly one side must win, in every
 // interleaving.
